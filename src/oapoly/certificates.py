@@ -27,6 +27,7 @@ from .errors import BadExponent
 from .fourier import (
     AlgElement,
     banach_norm,
+    block_element,
     convolve,
     delta_identity,
     element_from_json,
@@ -213,14 +214,11 @@ def _block_root_parts(
             return None
         roots.append(root)
     if per_ideal:
-        parts = []
-        for i, root in enumerate(roots):
-            if np.abs(root).max() < 1e-14:
-                continue
-            blocks = [np.zeros_like(b) for b in roots]
-            blocks[i] = root
-            parts.append(inverse_fourier(FourierSide(registry, tuple(blocks))))
-        return parts
+        return [
+            block_element(registry, i, root)
+            for i, root in enumerate(roots)
+            if np.abs(root).max() >= 1e-14
+        ]
     return [inverse_fourier(FourierSide(registry, tuple(roots)))]
 
 

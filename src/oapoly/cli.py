@@ -45,6 +45,26 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its messages
+    return parse
+
+
+def _positive_int_list(text: str) -> list[int]:
+    values = _int_list(text)
+    if any(value < 1 for value in values):
+        raise argparse.ArgumentTypeError(f"every entry must be >= 1, got {text!r}")
+    return values
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -341,15 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--group")
     certify.add_argument("--group-file")
     certify.add_argument("--input", required=True, help="AlgElement JSON file")
-    certify.add_argument("--n", type=int, required=True)
-    certify.add_argument("--refine", type=int, default=0, help="refinement iterations")
+    certify.add_argument("--n", type=_int_at_least(1), required=True)
+    certify.add_argument("--refine", type=_int_at_least(0), default=0, help="refinement iterations")
     _add_common(certify)
     certify.set_defaults(handler=_cmd_norms_certify)
     chain = norms_sub.add_parser("chain")
     chain.add_argument("--group")
     chain.add_argument("--group-file")
     chain.add_argument("--input", required=True)
-    chain.add_argument("--n", type=int, required=True)
+    chain.add_argument("--n", type=_int_at_least(1), required=True)
     _add_common(chain, seed=False)
     chain.set_defaults(handler=_cmd_norms_chain)
 
@@ -363,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--example", required=True, choices=["4.1", "4.2", "4.3"])
     diagnose.add_argument("--p", type=float)
     diagnose.add_argument("--m", type=_int_list)
-    diagnose.add_argument("--N", type=_int_list)
+    diagnose.add_argument("--N", type=_positive_int_list)
     _add_common(diagnose, seed=False, fmt=True)
     diagnose.set_defaults(handler=_cmd_circle_diagnose)
 

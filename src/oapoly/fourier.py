@@ -16,6 +16,18 @@ immaterial. Inversion is f(t) = sum_pi dim_pi trace(fhat(pi) U_pi(t)).
 The block of the central idempotent e_pi = dim_pi * chi_pi is the
 identity on its own irrep and zero on all others, which is what makes
 e_pi the unit of the minimal two-sided ideal it generates.
+
+Both directions are built once and reused. A group caches its quotient
+table ``quotient[s, t] = s^-1 t``, so a convolution is one gather of g
+through it and one mat-vec with f. A registry caches two operators: the
+analysis operator, taking values to the concatenated flattened blocks
+(1/N included), and for a complete registry the N x N synthesis
+operator, taking them back (dim_pi included). ``fourier`` and
+``inverse_fourier`` are one matmul each, and the ideal components of
+``decompose`` are read off one transform. A batch of B convolutions is
+gathered in row chunks of at most 32 MiB, so it holds B x N
+values plus one chunk, never the B x N x N gather. The caches are
+built on first use, never when a group is set up.
 """
 
 from __future__ import annotations
@@ -28,6 +40,9 @@ import numpy as np
 from .errors import BadExponent, GroupMismatch, IncompleteRegistry
 from .groups import GroupTable, Irrep, IrrepRegistry
 from .jsonio import pairs_to_vector, matrix_to_pairs, vector_to_pairs
+
+# Largest gathered chunk of a batched convolution, in bytes.
+_CHUNK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +123,25 @@ def random_element(group: GroupTable, rng: np.random.Generator) -> AlgElement:
 
 
 def convolve_values(fv: np.ndarray, gv: np.ndarray, group: GroupTable) -> np.ndarray:
-    """Direct convolution on raw value arrays; batches over leading axes."""
-    table = group.mult[group.inv]  # table[s, t] = inv(s) * t
-    gathered = np.asarray(gv)[..., table]
-    return np.einsum("...s,...st->...t", np.asarray(fv), gathered) / group.order
+    """Direct convolution on raw value arrays; batches over leading axes.
+
+    One pair is one gather of g through the quotient table and one
+    mat-vec. A batch is gathered in row chunks of at most 32 MiB,
+    so its memory is the B x N operands and result plus one chunk.
+    """
+    fv, gv = np.asarray(fv), np.asarray(gv)
+    quotient, n = group.quotient, group.order
+    if fv.ndim == 1 and gv.ndim == 1:
+        return fv @ np.take(gv, quotient) / n
+    fb, gb = np.broadcast_arrays(fv, gv)
+    shape = fb.shape
+    fb, gb = fb.reshape(-1, n), gb.reshape(-1, n)
+    out = np.empty(fb.shape, dtype=np.result_type(fb, gb, 1.0))
+    rows = max(1, _CHUNK_BYTES // (gb.itemsize * n * n))
+    for start in range(0, len(fb), rows):
+        chunk = slice(start, start + rows)
+        out[chunk] = np.matmul(fb[chunk, None, :], np.take(gb[chunk], quotient, axis=1))[:, 0] / n
+    return out.reshape(shape)
 
 
 def convolve(f: AlgElement, g: AlgElement) -> AlgElement:
@@ -137,23 +167,17 @@ def power(f: AlgElement, n: int) -> AlgElement:
 def fourier(f: AlgElement, registry: IrrepRegistry) -> FourierSide:
     if registry.group is not f.group:
         raise GroupMismatch("registry belongs to a different group")
-    return FourierSide(registry, tuple(fourier_block(f.values, rep, f.group) for rep in registry.irreps))
-
-
-def fourier_block(values: np.ndarray, rep: Irrep, group: GroupTable) -> np.ndarray:
-    return np.einsum("...t,tij->...ij", np.asarray(values), rep.matrices[group.inv]) / group.order
+    flat = registry.analysis @ f.values
+    return FourierSide(
+        registry,
+        tuple(flat[sl].reshape(rep.dim, rep.dim) for rep, sl in zip(registry.irreps, registry.block_slices)),
+    )
 
 
 def inverse_fourier(side: FourierSide) -> AlgElement:
-    registry = side.registry
-    if not registry.is_complete():
-        raise IncompleteRegistry(
-            f"registry for {registry.group.name} has sum(dim^2) != order"
-        )
-    vals = np.zeros(registry.group.order, dtype=np.complex128)
-    for rep, block in zip(registry.irreps, side.blocks):
-        vals += rep.dim * np.einsum("ij,tji->t", block, rep.matrices)
-    return AlgElement(registry.group, vals)
+    synthesis = side.registry.synthesis  # raises IncompleteRegistry first
+    flat = np.concatenate([block.reshape(-1) for block in side.blocks])
+    return AlgElement(side.registry.group, synthesis @ flat)
 
 
 def central_idempotent(group: GroupTable, rep: Irrep) -> AlgElement:
@@ -176,9 +200,7 @@ def block_element(registry: IrrepRegistry, index: int, matrix: np.ndarray) -> Al
 
 def fourier_block_matrix(registry: IrrepRegistry, index: int) -> np.ndarray:
     """Matrix of the linear map values -> flattened Fourier block."""
-    rep = registry.irreps[index]
-    group = registry.group
-    return rep.matrices[group.inv].reshape(group.order, rep.dim * rep.dim).T / group.order
+    return registry.analysis[registry.block_slices[index]]
 
 
 def decompose(f: AlgElement, registry: IrrepRegistry) -> list[tuple[Irrep, AlgElement]]:
@@ -190,11 +212,11 @@ def decompose(f: AlgElement, registry: IrrepRegistry) -> list[tuple[Irrep, AlgEl
         raise IncompleteRegistry(
             f"registry for {registry.group.name} has sum(dim^2) != order"
         )
-    out = []
-    for rep in registry.irreps:
-        component = convolve(f, central_idempotent(f.group, rep))
-        out.append((rep, component))
-    return out
+    side = fourier(f, registry)
+    return [
+        (rep, block_element(registry, index, block))
+        for index, (rep, block) in enumerate(zip(registry.irreps, side.blocks))
+    ]
 
 
 def l1_norm(f: AlgElement) -> float:

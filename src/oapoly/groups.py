@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedGroup
+from .errors import DimensionMismatch, IncompleteRegistry, UnsupportedGroup
 from .jsonio import matrix_to_pairs, pairs_to_matrix
 
 MAX_ORDER = 512
@@ -61,6 +62,11 @@ class GroupTable:
             raise DimensionMismatch("mult/inv tables do not match the declared order")
         if not 0 <= self.identity < self.order:
             raise ValueError("identity index out of range")
+
+    @cached_property
+    def quotient(self) -> np.ndarray:
+        """The read-only table of s^-1 t at [s, t], built on first use."""
+        return _readonly(self.mult[self.inv])
 
     def multiply(self, s: int, t: int) -> int:
         return int(self.mult[s, t])
@@ -112,6 +118,40 @@ class IrrepRegistry:
 
     def is_complete(self) -> bool:
         return sum(d * d for d in self.dims) == self.group.order
+
+    @cached_property
+    def block_slices(self) -> tuple[slice, ...]:
+        """Where each irrep's flattened d x d block sits in the
+        concatenated Fourier vector, in registry order."""
+        ends = itertools.accumulate(d * d for d in self.dims)
+        return tuple(slice(end - d * d, end) for d, end in zip(self.dims, ends))
+
+    @cached_property
+    def analysis(self) -> np.ndarray:
+        """Read-only (sum dim^2) x N operator taking values to the
+        concatenated flattened Fourier blocks, (1/N) sum_t f(t) U(t^-1);
+        built on first use."""
+        g = self.group
+        # filled block by block, so the build holds one N x N array, not two
+        analysis = np.empty((sum(d * d for d in self.dims), g.order), dtype=np.complex128)
+        for rep, sl in zip(self.irreps, self.block_slices):
+            analysis[sl] = rep.matrices[g.inv].reshape(g.order, rep.dim * rep.dim).T / g.order
+        return _readonly(analysis)
+
+    @cached_property
+    def synthesis(self) -> np.ndarray:
+        """Read-only N x N inverse of :attr:`analysis`, with the dim_pi
+        factor of f(t) = sum_pi dim_pi trace(fhat(pi) U_pi(t)) included;
+        built on first use. Only a complete registry has one."""
+        if not self.is_complete():
+            raise IncompleteRegistry(
+                f"registry for {self.group.name} has sum(dim^2) != order"
+            )
+        n = self.group.order
+        synthesis = np.empty((n, n), dtype=np.complex128)
+        for rep, sl in zip(self.irreps, self.block_slices):
+            synthesis[:, sl] = rep.dim * rep.matrices.transpose(0, 2, 1).reshape(n, rep.dim * rep.dim)
+        return _readonly(synthesis)
 
     def by_label(self, label: str) -> Irrep:
         for rep in self.irreps:

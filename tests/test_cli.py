@@ -176,6 +176,26 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
     assert main(["fourier", "transform", "--group", "z4", "--input", s3_files["element"]]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "certify", "--n", "0"],
+        ["norms", "chain", "--n", "0"],
+        ["norms", "certify", "--n", "2", "--refine", "-3"],
+        ["circle", "diagnose", "--example", "4.2", "--N", "16,0"],
+    ],
+    ids=["certify-n", "chain-n", "certify-refine", "diagnose-N"],
+)
+def test_out_of_range_flag_is_usage_error(argv, s3_files, capsys):
+    if argv[0] == "norms":
+        argv = argv[:2] + ["--group", "s3", "--input", s3_files["element"]] + argv[2:]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    err = capsys.readouterr().err
+    assert stop.value.code == 2
+    assert f"argument {argv[-2]}" in err and "Traceback" not in err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["norms", "chain", "--group", "z4", "--input", "/nonexistent.json", "--n", "2"]) == 2
 

@@ -21,7 +21,8 @@ from oapoly import (
     power,
     random_element,
 )
-from oapoly.groups import IrrepRegistry
+from oapoly.fourier import _CHUNK_BYTES, convolve_values, power_values
+from oapoly.groups import Irrep, IrrepRegistry
 
 
 def elem(group, values):
@@ -138,6 +139,13 @@ def test_incomplete_registry_rejected_by_inverse():
         inverse_fourier(side)
 
 
+def test_incomplete_registry_rejected_by_decompose():
+    group, registry = builtin_group_by_name("z4")
+    partial = IrrepRegistry(group, registry.irreps[:2])
+    with pytest.raises(IncompleteRegistry):
+        decompose(random_element(group, np.random.default_rng(0)), partial)
+
+
 def test_central_idempotents():
     group, registry = builtin_group_by_name("s3")
     trivial = registry.by_label("triv")
@@ -247,3 +255,84 @@ def test_convolution_associative_and_bilinear(fv, gv, hv):
     lin = convolve(f + g, h)
     split = convolve(f, h) + convolve(g, h)
     assert np.abs(lin.values - split.values).max() <= 1e-12 * scale
+
+
+def reference_convolution(fv, gv, group):
+    # (f * g)(t) = (1/N) sum_s f(s) g(s^-1 t), straight from mult and inv
+    out = np.zeros(np.broadcast_shapes(fv.shape, gv.shape), dtype=complex)
+    for s in range(group.order):
+        out += fv[..., s, None] * gv[..., group.mult[group.inv[s]]]
+    return out / group.order
+
+
+@pytest.mark.parametrize("name", ["s4", "d8"])
+def test_batched_convolution_over_several_chunks_matches_reference(name):
+    group, _ = builtin_group_by_name(name)
+    chunk_rows = _CHUNK_BYTES // (16 * group.order**2)
+    rng = np.random.default_rng(5)
+    shape = (chunk_rows + 7, group.order)
+    fv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    batched = convolve_values(fv, gv, group)
+    assert np.abs(batched - reference_convolution(fv, gv, group)).max() <= 1e-12
+    for row in (0, chunk_rows - 1, chunk_rows, shape[0] - 1):
+        single = convolve_values(fv[row], gv[row], group)
+        assert np.abs(batched[row] - single).max() <= 1e-12
+
+    cubes = power_values(fv, 3, group)
+    expected = reference_convolution(fv, reference_convolution(fv, fv, group), group)
+    assert np.abs(cubes - expected).max() <= 1e-11
+    # one operand broadcast against a batch
+    assert np.abs(convolve_values(fv, gv[0], group) - reference_convolution(fv, gv[0], group)).max() <= 1e-12
+
+
+def haar_unitary(rng, d):
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugated_s4():
+    group, registry = builtin_group_by_name("s4")
+    rng = np.random.default_rng(6)
+    irreps = []
+    for rep in registry.irreps:
+        v = haar_unitary(rng, rep.dim)
+        irreps.append(Irrep(rep.label, rep.dim, v.conj().T @ rep.matrices @ v))
+    return group, IrrepRegistry(group, tuple(irreps))
+
+
+@pytest.mark.parametrize("name", ["q8", "s4", "d8", "s4-haar"])
+def test_fourier_operators_match_per_irrep_formulas(name):
+    group, registry = conjugated_s4() if name == "s4-haar" else builtin_group_by_name(name)
+    rng = np.random.default_rng(7)
+    f = random_element(group, rng)
+    side = fourier(f, registry)
+    for rep, block in zip(registry.irreps, side.blocks):
+        # fhat(pi) = (1/N) sum_t f(t) U_pi(t^-1)
+        expected = np.einsum("t,tij->ij", f.values, rep.matrices[group.inv]) / group.order
+        assert np.abs(block - expected).max() <= 1e-12
+
+    blocks = tuple(
+        rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+        for rep in registry.irreps
+    )
+    # f(t) = sum_pi dim_pi trace(fhat(pi) U_pi(t))
+    expected = sum(
+        rep.dim * np.einsum("ij,tji->t", block, rep.matrices)
+        for rep, block in zip(registry.irreps, blocks)
+    )
+    got = inverse_fourier(FourierSide(registry, blocks)).values
+    assert np.abs(got - expected).max() <= 1e-12
+
+
+def test_cached_tables_and_operators_are_read_only():
+    group, registry = builtin_group_by_name("d8")
+    fourier(random_element(group, np.random.default_rng(8)), registry)
+    for cached in (group.quotient, registry.analysis, registry.synthesis):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1
+    assert group.quotient is group.quotient
+    assert registry.synthesis.shape == registry.analysis.shape == (16, 16)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,20 @@ def test_span_check_examples():
     assert span_check(s3, 3, seed=1)["rank"] == 6
     z1, _ = builtin_group_by_name("z1")
     assert span_check(z1, 4, seed=2)["rank"] == 1
+
+
+def test_span_check_memory_stays_bounded():
+    # the batched powers are gathered in chunks, never as a B x N x N
+    # array (which is 512 MiB for z256 and 4 GiB for z512)
+    group, _ = builtin_group_by_name("z256")
+    tracemalloc.start()
+    try:
+        report = span_check(group, 2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert peak < 64 * 2**20
 
 
 def test_estimate_norms_zero_polynomial():
