@@ -32,7 +32,6 @@ from .fourier import (
     convolve,
     decompose,
     delta_identity,
-    fourier,
     inverse_fourier,
     l1_norm,
     power,

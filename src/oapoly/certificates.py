@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent
+from .domains import GroupAlgebra
 from .fourier import (
     AlgElement,
     banach_norm,
@@ -35,7 +35,6 @@ from .fourier import (
     inverse_fourier,
     FourierSide,
     l1_norm,
-    power,
 )
 from .groups import GroupTable, IrrepRegistry
 from .jsonio import vector_to_pairs
@@ -43,16 +42,6 @@ from .polynomials import sym_product
 
 RECON_TOL = 1e-10
 BOUND_TOL = 1e-12
-
-
-def _norm(f: AlgElement, which: str) -> float:
-    if which == "l1":
-        return l1_norm(f)
-    if which == "linf":
-        return banach_norm(f, "linf")
-    if which.startswith("lp:"):
-        return banach_norm(f, "lp", p=float(which.split(":", 1)[1]))
-    raise BadExponent(f"unknown certificate norm {which!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +55,13 @@ class PnCertificate:
     claimed_bound: float = 0.0
 
     def reconstruction(self) -> AlgElement:
-        total = np.zeros(self.target.group.order, dtype=np.complex128)
-        for part in self.parts:
-            total += power(part, self.degree).values
-        return AlgElement(self.target.group, total)
+        group = self.target.group
+        # one batch of all parts; no parts is an empty batch summing to zero
+        values = np.reshape([part.values for part in self.parts], (-1, group.order))
+        return AlgElement(group, GroupAlgebra(group).product_power(values, self.degree).sum(axis=0))
 
     def recompute_bound(self) -> float:
-        return float(sum(_norm(part, self.norm) ** self.degree for part in self.parts))
+        return float(sum(banach_norm(part, self.norm) ** self.degree for part in self.parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +83,7 @@ class SnCertificate:
     def recompute_bound(self) -> float:
         return float(
             sum(
-                math.prod(_norm(factor, self.norm) for factor in factors)
+                math.prod(banach_norm(factor, self.norm) for factor in factors)
                 for factors in self.tuples
             )
         )
@@ -131,8 +120,8 @@ def verify_certificate(
     bound_tol: float = BOUND_TOL,
 ) -> CertificateReport:
     """Recompute the reconstruction sum and the claimed bound."""
-    target_norm = _norm(cert.target, cert.norm)
-    residual = _norm(cert.reconstruction() - cert.target, cert.norm)
+    target_norm = banach_norm(cert.target, cert.norm)
+    residual = banach_norm(cert.reconstruction() - cert.target, cert.norm)
     rel = residual / max(target_norm, 1.0)
     bound = cert.recompute_bound()
     bound_residual = abs(bound - cert.claimed_bound) / max(1.0, abs(cert.claimed_bound))
@@ -152,9 +141,9 @@ def sn_bound(a: AlgElement, n: int, norm: str = "l1") -> NormBound:
     """
     delta = delta_identity(a.group)
     factors = tuple([delta] * (n - 1) + [a])
-    bound = float(math.prod(_norm(f, norm) for f in factors))
+    bound = float(math.prod(banach_norm(f, norm) for f in factors))
     cert = SnCertificate(a, (factors,), n, norm, bound)
-    return NormBound(lower=_norm(a, norm), upper=bound, certificate=cert)
+    return NormBound(lower=banach_norm(a, norm), upper=bound, certificate=cert)
 
 
 def _phase_canonical(f: AlgElement, norm: str) -> tuple[complex, AlgElement]:
@@ -164,7 +153,7 @@ def _phase_canonical(f: AlgElement, norm: str) -> tuple[complex, AlgElement]:
     of the largest entry is pinned), which makes polarization bounds
     exactly |lambda|-homogeneous under f -> lambda f.
     """
-    size = _norm(f, norm)
+    size = banach_norm(f, norm)
     peak = f.values[int(np.argmax(np.abs(f.values)))]
     phase = peak / abs(peak)
     return size * phase, f * (1.0 / (size * phase))
@@ -189,7 +178,7 @@ def pn_from_sn(cert: SnCertificate) -> PnCertificate:
                 combo += s * b.values
             parts.append(AlgElement(group, beta * combo))
     parts_tuple = tuple(parts)
-    bound = float(sum(_norm(part, cert.norm) ** n for part in parts_tuple))
+    bound = float(sum(banach_norm(part, cert.norm) ** n for part in parts_tuple))
     return PnCertificate(cert.target, parts_tuple, n, cert.norm, bound)
 
 
@@ -240,7 +229,7 @@ def pn_bound(
     part per ideal). Optional refinement perturbs the symmetrized side
     by central units, accepting improvements; off by default.
     """
-    lower = _norm(a, norm)
+    lower = banach_norm(a, norm)
     candidates: list[PnCertificate] = []
 
     if np.abs(a.values).max() == 0.0:
@@ -251,7 +240,7 @@ def pn_bound(
     candidates.append(base)
 
     if _is_idempotent(a):
-        candidates.append(PnCertificate(a, (a,), n, norm, _norm(a, norm) ** n))
+        candidates.append(PnCertificate(a, (a,), n, norm, banach_norm(a, norm) ** n))
 
     if registry is not None and registry.is_complete():
         for per_ideal in (False, True):
@@ -263,7 +252,7 @@ def pn_bound(
                 tuple(parts),
                 n,
                 norm,
-                float(sum(_norm(p, norm) ** n for p in parts)),
+                float(sum(banach_norm(p, norm) ** n for p in parts)),
             )
             candidates.append(cert)
 
@@ -272,9 +261,11 @@ def pn_bound(
             if refined is not None:
                 candidates.append(refined)
 
-    valid = [c for c in candidates if verify_certificate(c).passed]
-    best = min(valid, key=lambda c: c.claimed_bound)
-    return NormBound(lower=lower, upper=best.claimed_bound, certificate=best)
+    # cheapest first, stable on ties; the first that verifies is kept
+    for cert in sorted(candidates, key=lambda c: c.claimed_bound):
+        if verify_certificate(cert).passed:
+            return NormBound(lower=lower, upper=cert.claimed_bound, certificate=cert)
+    raise ValueError("no candidate power certificate verifies")
 
 
 def _refine_by_central_units(
@@ -296,7 +287,7 @@ def _refine_by_central_units(
         c = inverse_fourier(FourierSide(registry, tuple(blocks)))
         c_inv = inverse_fourier(FourierSide(registry, tuple(inverse_blocks)))
         factors = tuple([c] + [delta] * (n - 2) + [convolve(a, c_inv)])
-        bound = float(math.prod(_norm(f, norm) for f in factors))
+        bound = float(math.prod(banach_norm(f, norm) for f in factors))
         if bound < best_bound:
             candidate = pn_from_sn(SnCertificate(a, (factors,), n, norm, bound))
             if verify_certificate(candidate).passed and candidate.claimed_bound < best_bound:

@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--poly", required=True, help="polynomial JSON file")
     check.add_argument("--group")
     check.add_argument("--group-file")
-    check.add_argument("--pairs", type=int, default=200)
+    check.add_argument("--pairs", type=_int_at_least(1), default=200)
     check.add_argument("--tol", type=float, default=1e-9)
     _add_common(check)
     check.set_defaults(handler=_cmd_oadd_check)
@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--poly", required=True)
     extract.add_argument("--group")
     extract.add_argument("--group-file")
-    extract.add_argument("--pairs", type=int, default=120)
-    extract.add_argument("--samples", type=int, default=200)
+    extract.add_argument("--pairs", type=_int_at_least(1), default=120)
+    extract.add_argument("--samples", type=_int_at_least(1), default=200)
     extract.add_argument("--tol", type=float, default=1e-9)
     _add_common(extract)
     extract.set_defaults(handler=_cmd_represent_extract)
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--phi", required=True, help="LinearMap JSON file")
     verify.add_argument("--group")
     verify.add_argument("--group-file")
-    verify.add_argument("--samples", type=int, default=200)
+    verify.add_argument("--samples", type=_int_at_least(1), default=200)
     verify.add_argument("--tol", type=float, default=1e-9)
     _add_common(verify)
     verify.set_defaults(handler=_cmd_represent_verify)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GroupMismatch, IncompleteRegistry
-from .fourier import AlgElement, convolve_values, delta_identity
+from .fourier import convolve_values, delta_identity
 from .groups import GroupTable, IrrepRegistry
 
 
@@ -38,6 +38,9 @@ class AlgebraDomain:
         return rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
 
     def product_power(self, x: np.ndarray, n: int) -> np.ndarray:
+        """x^n, the only repeated-product loop; batches over leading axes."""
+        if n < 1:
+            raise ValueError("a product power needs n >= 1")
         out = np.asarray(x, dtype=np.complex128)
         for _ in range(n - 1):
             out = self.mul(x, out)
@@ -54,8 +57,9 @@ class MatrixAlgebra(AlgebraDomain):
         self.dim = k * k
 
     def mul(self, x, y):
-        k = self.k
-        return (np.asarray(x).reshape(k, k) @ np.asarray(y).reshape(k, k)).reshape(-1)
+        x, y, k = np.asarray(x), np.asarray(y), self.k
+        prod = x.reshape(*x.shape[:-1], k, k) @ y.reshape(*y.shape[:-1], k, k)
+        return prod.reshape(*prod.shape[:-2], k * k)
 
     def one(self):
         return np.eye(self.k, dtype=np.complex128).reshape(-1)
@@ -96,9 +100,6 @@ class GroupAlgebra(AlgebraDomain):
                 f"a complete irrep registry for {self.group.name} is required here"
             )
         return self.registry
-
-    def wrap(self, values: np.ndarray) -> AlgElement:
-        return AlgElement(self.group, values)
 
 
 class PointwiseAlgebra(AlgebraDomain):

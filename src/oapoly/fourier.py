@@ -23,8 +23,10 @@ through it and one mat-vec with f. A registry caches two operators: the
 analysis operator, taking values to the concatenated flattened blocks
 (1/N included), and for a complete registry the N x N synthesis
 operator, taking them back (dim_pi included). ``fourier`` and
-``inverse_fourier`` are one matmul each, and the ideal components of
-``decompose`` are read off one transform. A batch of B convolutions is
+``inverse_fourier`` are one matmul each, ``block_element`` is a slice
+of the synthesis operator, and the ideal components of ``decompose``
+are read off one transform. Powers go through
+``AlgebraDomain.product_power``. A batch of B convolutions is
 gathered in row chunks of at most 32 MiB, so it holds B x N
 values plus one chunk, never the B x N x N gather. The caches are
 built on first use, never when a group is set up.
@@ -150,18 +152,11 @@ def convolve(f: AlgElement, g: AlgElement) -> AlgElement:
     return AlgElement(f.group, convolve_values(f.values, g.values, f.group))
 
 
-def power_values(fv: np.ndarray, n: int, group: GroupTable) -> np.ndarray:
-    if n < 1:
-        raise ValueError("convolution power needs n >= 1")
-    out = np.asarray(fv, dtype=np.complex128)
-    for _ in range(n - 1):
-        out = convolve_values(fv, out, group)
-    return out
-
-
 def power(f: AlgElement, n: int) -> AlgElement:
     """The n-fold convolution power of f."""
-    return AlgElement(f.group, power_values(f.values, n, f.group))
+    from .domains import GroupAlgebra  # domains builds on this module
+
+    return AlgElement(f.group, GroupAlgebra(f.group).product_power(f.values, n))
 
 
 def fourier(f: AlgElement, registry: IrrepRegistry) -> FourierSide:
@@ -189,18 +184,14 @@ def central_idempotent(group: GroupTable, rep: Irrep) -> AlgElement:
 
 def block_element(registry: IrrepRegistry, index: int, matrix: np.ndarray) -> AlgElement:
     """The algebra element whose Fourier side is `matrix` on one irrep
-    and zero on every other block."""
+    and zero on every other block: a slice of the synthesis operator,
+    so only a complete registry has one."""
     rep = registry.irreps[index]
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (rep.dim, rep.dim):
         raise GroupMismatch(f"block for {rep.label!r} must be {rep.dim} x {rep.dim}")
-    vals = rep.dim * np.einsum("ij,tji->t", matrix, rep.matrices)
-    return AlgElement(registry.group, vals)
-
-
-def fourier_block_matrix(registry: IrrepRegistry, index: int) -> np.ndarray:
-    """Matrix of the linear map values -> flattened Fourier block."""
-    return registry.analysis[registry.block_slices[index]]
+    columns = registry.synthesis[:, registry.block_slices[index]]
+    return AlgElement(registry.group, columns @ matrix.reshape(-1))
 
 
 def decompose(f: AlgElement, registry: IrrepRegistry) -> list[tuple[Irrep, AlgElement]]:
@@ -229,13 +220,18 @@ def banach_norm(
     p: float | None = None,
     registry: IrrepRegistry | None = None,
 ) -> float:
-    """Norms on the group algebra.
+    """The one dispatcher of the norms on the group algebra.
 
-    which: "lp" (needs p >= 1), "linf", "ag" (sum of dim * trace norms of
-    the Fourier blocks), or "sp" (needs p >= 1; L1 norm plus the
+    which: "l1", "linf", "lp" (needs p >= 1, given as p or as the
+    certificate selector "lp:p"), "ag" (sum of dim * trace norms of the
+    Fourier blocks), or "sp" (needs p >= 1; L1 norm plus the
     dim-weighted Schatten-p aggregate of the blocks). "ag" and "sp"
     need a complete registry.
     """
+    if which.startswith("lp:"):
+        which, p = "lp", float(which[3:])
+    if which == "l1":
+        return l1_norm(f)
     if which == "lp":
         if p is None or p < 1:
             raise BadExponent(f"lp norm needs p >= 1, got {p}")

@@ -68,12 +68,6 @@ class GroupTable:
         """The read-only table of s^-1 t at [s, t], built on first use."""
         return _readonly(self.mult[self.inv])
 
-    def multiply(self, s: int, t: int) -> int:
-        return int(self.mult[s, t])
-
-    def inverse(self, t: int) -> int:
-        return int(self.inv[t])
-
 
 @dataclass(frozen=True, eq=False)
 class Irrep:

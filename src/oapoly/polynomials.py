@@ -58,10 +58,6 @@ class HomPoly:
         return out.reshape(self.codomain_dim).astype(np.complex128)
 
     @classmethod
-    def from_evaluator(cls, degree, domain, codomain_dim, evaluator) -> "HomPoly":
-        return cls(degree, domain, codomain_dim, evaluator)
-
-    @classmethod
     def from_tensor(cls, degree, domain, codomain_dim, tensor: dict) -> "HomPoly":
         """Build from a symmetric tensor stored on sorted multi-indices.
 

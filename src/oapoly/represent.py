@@ -27,14 +27,7 @@ import numpy as np
 
 from .domains import AlgebraDomain, GroupAlgebra, MatrixAlgebra
 from .errors import VerificationFailure
-from .fourier import (
-    AlgElement,
-    banach_norm,
-    block_element,
-    central_idempotent,
-    fourier_block_matrix,
-    power_values,
-)
+from .fourier import AlgElement, banach_norm, block_element, central_idempotent
 from .groups import GroupTable
 from .jsonio import matrix_to_pairs, pairs_to_matrix
 from .polynomials import (
@@ -78,8 +71,9 @@ def linear_map_from_json(doc: dict, domain: AlgebraDomain) -> LinearMap:
     return LinearMap(domain, int(doc["codomain_dim"]), pairs_to_matrix(doc["matrix"]))
 
 
-def _probe_verify(P: HomPoly, matrix: np.ndarray, samples, seed, tol, precheck=None):
-    report = verify_matrix(P, matrix, samples=samples, seed=seed, tol=tol)
+def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol, precheck=None) -> LinearMap:
+    """Return L when it passes :func:`verify_representation`, else raise."""
+    report = verify_representation(P, L, samples=samples, seed=seed, tol=tol)
     if not report["pass"]:
         raise VerificationFailure(
             "extracted candidate fails P(f) = L(f^n) on random probes "
@@ -88,18 +82,7 @@ def _probe_verify(P: HomPoly, matrix: np.ndarray, samples, seed, tol, precheck=N
             max_residual=report["max_residual"],
             precheck=precheck,
         )
-
-
-def verify_matrix(P: HomPoly, matrix: np.ndarray, samples: int, seed: int, tol: float) -> dict:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = P.domain.random(rng)
-        lhs = P(x)
-        rhs = matrix @ P.domain.product_power(x, P.degree)
-        residual = float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(lhs)))
-        worst = max(worst, residual)
-    return {"max_residual": worst, "pass": worst <= tol, "samples": samples, "tol": tol}
+    return L
 
 
 def phi_matrix_algebra(
@@ -114,9 +97,8 @@ def phi_matrix_algebra(
     rest = [e] * (P.degree - 1)
     basis = np.eye(domain.dim, dtype=np.complex128)
     columns = [phi(basis[t], *rest) for t in range(domain.dim)]
-    matrix = np.stack(columns, axis=1)
-    _probe_verify(P, matrix, verify_samples, seed + 1, tol)
-    return LinearMap(domain, P.codomain_dim, matrix)
+    L = LinearMap(domain, P.codomain_dim, np.stack(columns, axis=1))
+    return _probe_verify(P, L, verify_samples, seed + 1, tol)
 
 
 def phi_group(
@@ -158,9 +140,8 @@ def phi_group(
             component = domain.mul(basis[t], e_pi)
             col += phi(component, *([e_pi] * (P.degree - 1)))
         columns.append(col)
-    matrix = np.stack(columns, axis=1)
-    _probe_verify(P, matrix, verify_samples, seed + 1, tol, precheck=precheck_report)
-    return LinearMap(domain, P.codomain_dim, matrix)
+    L = LinearMap(domain, P.codomain_dim, np.stack(columns, axis=1))
+    return _probe_verify(P, L, verify_samples, seed + 1, tol, precheck=precheck_report)
 
 
 def phi_group_blockwise(
@@ -186,16 +167,25 @@ def phi_group_blockwise(
 
         restricted = HomPoly(P.degree, block_domain, P.codomain_dim, block_poly)
         local = phi_matrix_algebra(restricted, seed=seed, verify_samples=10, tol=tol)
-        matrix += local.matrix @ fourier_block_matrix(registry, index)
-    _probe_verify(P, matrix, verify_samples, seed + 1, tol)
-    return LinearMap(domain, P.codomain_dim, matrix)
+        matrix += local.matrix @ registry.analysis[registry.block_slices[index]]
+    L = LinearMap(domain, P.codomain_dim, matrix)
+    return _probe_verify(P, L, verify_samples, seed + 1, tol)
 
 
 def verify_representation(
     P: HomPoly, L: LinearMap, samples: int = 200, seed: int = 0, tol: float = 1e-9
 ) -> dict:
-    """Report max over random probes of |P(f) - L(f^n)| / (1 + |P(f)|)."""
-    return verify_matrix(P, L.matrix, samples=samples, seed=seed, tol=tol)
+    """Report max over random probes of |P(f) - L(f^n)| / (1 + |P(f)|);
+    the one probe verifier, also behind every extraction."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x = P.domain.random(rng)
+        lhs = P(x)
+        rhs = L(P.domain.product_power(x, P.degree))
+        residual = float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(lhs)))
+        worst = max(worst, residual)
+    return {"max_residual": worst, "pass": worst <= tol, "samples": samples, "tol": tol}
 
 
 def span_check(group: GroupTable, n: int, seed: int = 0, threshold: float = 1e-8) -> dict:
@@ -209,7 +199,7 @@ def span_check(group: GroupTable, n: int, seed: int = 0, threshold: float = 1e-8
     probes = rng.standard_normal((samples, group.order)) + 1j * rng.standard_normal(
         (samples, group.order)
     )
-    powers = power_values(probes, n, group)
+    powers = GroupAlgebra(group).product_power(probes, n)
     sv = np.linalg.svd(powers, compute_uv=False)
     rank = int((sv > threshold * sv[0]).sum()) if sv.size else 0
     return {
@@ -269,9 +259,9 @@ def estimate_norms(
     rng = np.random.default_rng(seed)
 
     def domain_norm(x):
-        if isinstance(domain, GroupAlgebra) and which != "l1":
-            return banach_norm(AlgElement(domain.group, x), which, p=p, registry=domain.registry)
-        return domain.norm(x)
+        if which == "l1":
+            return domain.norm(x)
+        return banach_norm(AlgElement(domain.group, x), which, p=p, registry=domain.registry)
 
     def unit(x):
         nrm = domain_norm(x)

@@ -28,7 +28,6 @@ from oapoly import (
     diagnostic_kernel_blowup,
     fejer,
     fejer_limit_check,
-    fourier,
     inverse_fourier,
     l1_norm,
     lp_norm_t,
@@ -43,6 +42,7 @@ from oapoly import (
     verify_representation,
 )
 from oapoly.cli import main
+from oapoly.fourier import fourier
 
 CORE_GROUPS = ["z6", "s3", "d4", "q8"]
 ALL_BUILTINS = ["z1", "z4", "z6", "d3", "d4", "s3", "s4", "q8"]

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from oapoly import (
     PnCertificate,
@@ -17,7 +18,13 @@ from oapoly import (
     verify_certificate,
     zero_element,
 )
-from oapoly.certificates import certificate_from_json, certificate_to_json, pn_from_sn
+import oapoly.certificates as certificates
+from oapoly.certificates import (
+    _block_root_parts,
+    certificate_from_json,
+    certificate_to_json,
+    pn_from_sn,
+)
 from oapoly.fourier import block_element
 
 
@@ -75,6 +82,38 @@ def test_pn_bound_degree_three_z4():
         bound = pn_bound(a, 3, registry)
         assert bound.lower <= bound.upper + 1e-12
         assert bound.upper <= 4.5 * l1_norm(a) + 1e-9
+
+
+@pytest.mark.parametrize("name", ["q8", "s4", "d8"])
+def test_pn_bound_verifies_cheapest_first_and_stops(name, monkeypatch):
+    group, registry = builtin_group_by_name(name)
+    a = random_element(group, np.random.default_rng(12))
+    n = 3
+    # every route pn_bound tries for a random element, in its order
+    candidates = [pn_from_sn(sn_bound(a, n).certificate)]
+    for per_ideal in (False, True):
+        parts = tuple(_block_root_parts(a, n, registry, per_ideal))
+        bound = float(sum(l1_norm(p) ** n for p in parts))
+        candidates.append(PnCertificate(a, parts, n, "l1", bound))
+    passed = [verify_certificate(c).passed for c in candidates]
+    best = min((c for c, ok in zip(candidates, passed) if ok), key=lambda c: c.claimed_bound)
+    ranked = sorted(range(len(candidates)), key=lambda i: candidates[i].claimed_bound)
+    expected_calls = 1 + next(k for k, i in enumerate(ranked) if passed[i])
+    assert expected_calls < len(candidates)
+
+    calls = []
+
+    def counting(cert, *args, **kwargs):
+        calls.append(cert)
+        return verify_certificate(cert, *args, **kwargs)
+
+    monkeypatch.setattr(certificates, "verify_certificate", counting)
+    chosen = pn_bound(a, n, registry)
+    assert len(calls) == expected_calls
+    assert chosen.upper == best.claimed_bound
+    assert len(chosen.certificate.parts) == len(best.parts)
+    for got, want in zip(chosen.certificate.parts, best.parts):
+        assert np.array_equal(got.values, want.values)
 
 
 def test_pn_bound_zero_element():

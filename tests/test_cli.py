@@ -183,12 +183,27 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
         ["norms", "chain", "--n", "0"],
         ["norms", "certify", "--n", "2", "--refine", "-3"],
         ["circle", "diagnose", "--example", "4.2", "--N", "16,0"],
+        ["oadd", "check", "--pairs", "0"],
+        ["represent", "extract", "--pairs", "0"],
+        ["represent", "extract", "--samples", "0"],
+        ["represent", "verify", "--phi", "phi.json", "--samples", "0"],
     ],
-    ids=["certify-n", "chain-n", "certify-refine", "diagnose-N"],
+    ids=[
+        "certify-n",
+        "chain-n",
+        "certify-refine",
+        "diagnose-N",
+        "oadd-pairs",
+        "extract-pairs",
+        "extract-samples",
+        "verify-samples",
+    ],
 )
 def test_out_of_range_flag_is_usage_error(argv, s3_files, capsys):
     if argv[0] == "norms":
         argv = argv[:2] + ["--group", "s3", "--input", s3_files["element"]] + argv[2:]
+    if argv[0] in ("oadd", "represent"):
+        argv = argv[:2] + ["--poly", s3_files["bad"]] + argv[2:]
     with pytest.raises(SystemExit) as stop:
         main(argv)
     err = capsys.readouterr().err

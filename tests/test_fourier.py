@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,21 +9,22 @@ from oapoly import (
     AlgElement,
     BadExponent,
     FourierSide,
+    GroupAlgebra,
     GroupMismatch,
     IncompleteRegistry,
     banach_norm,
+    block_element,
     builtin_group_by_name,
     central_idempotent,
     convolve,
     decompose,
     delta_identity,
-    fourier,
     inverse_fourier,
     l1_norm,
     power,
     random_element,
 )
-from oapoly.fourier import _CHUNK_BYTES, convolve_values, power_values
+from oapoly.fourier import _CHUNK_BYTES, convolve_values, fourier
 from oapoly.groups import Irrep, IrrepRegistry
 
 
@@ -139,6 +142,13 @@ def test_incomplete_registry_rejected_by_inverse():
         inverse_fourier(side)
 
 
+def test_incomplete_registry_rejected_by_block_element():
+    group, registry = builtin_group_by_name("z4")
+    partial = IrrepRegistry(group, registry.irreps[:2])
+    with pytest.raises(IncompleteRegistry):
+        block_element(partial, 0, np.eye(1))
+
+
 def test_incomplete_registry_rejected_by_decompose():
     group, registry = builtin_group_by_name("z4")
     partial = IrrepRegistry(group, registry.irreps[:2])
@@ -223,6 +233,17 @@ def test_banach_norms():
         banach_norm(delta, "ag")
 
 
+def test_banach_norm_takes_the_certificate_selectors():
+    group, registry = builtin_group_by_name("d4")
+    f = random_element(group, np.random.default_rng(10))
+    assert banach_norm(f, "l1") == l1_norm(f)
+    assert banach_norm(f, "lp:2.5") == banach_norm(f, "lp", p=2.5)
+    assert banach_norm(f, "linf") == np.abs(f.values).max()
+    for bad in ("lp:0.5", "l2", "lp:"):
+        with pytest.raises((BadExponent, ValueError)):
+            banach_norm(f, bad, registry=registry)
+
+
 def test_convolution_banach_inequality():
     group, _ = builtin_group_by_name("d4")
     rng = np.random.default_rng(5)
@@ -280,7 +301,7 @@ def test_batched_convolution_over_several_chunks_matches_reference(name):
         single = convolve_values(fv[row], gv[row], group)
         assert np.abs(batched[row] - single).max() <= 1e-12
 
-    cubes = power_values(fv, 3, group)
+    cubes = GroupAlgebra(group).product_power(fv, 3)
     expected = reference_convolution(fv, reference_convolution(fv, fv, group), group)
     assert np.abs(cubes - expected).max() <= 1e-11
     # one operand broadcast against a batch
@@ -336,3 +357,28 @@ def test_cached_tables_and_operators_are_read_only():
             cached[0, 0] = 1
     assert group.quotient is group.quotient
     assert registry.synthesis.shape == registry.analysis.shape == (16, 16)
+
+
+@pytest.mark.parametrize("name", ["q8", "s4", "d8", "s4-haar"])
+def test_block_embedding_matches_the_einsum_formula(name):
+    group, registry = conjugated_s4() if name == "s4-haar" else builtin_group_by_name(name)
+    rng = np.random.default_rng(9)
+    f = random_element(group, rng)
+    components = decompose(f, registry)
+    assert [rep for rep, _ in components] == list(registry.irreps)
+    for index, (rep, (_, part)) in enumerate(zip(registry.irreps, components)):
+        # the element with block m on pi alone is dim_pi * trace(m U_pi(t))
+        m = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+        expected = rep.dim * np.einsum("ij,tji->t", m, rep.matrices)
+        assert np.abs(block_element(registry, index, m).values - expected).max() <= 1e-12
+        fhat = np.einsum("t,tij->ij", f.values, rep.matrices[group.inv]) / group.order
+        expected = rep.dim * np.einsum("ij,tji->t", fhat, rep.matrices)
+        assert np.abs(part.values - expected).max() <= 1e-12
+
+
+def test_fourier_attribute_is_the_submodule():
+    import oapoly
+    import oapoly.fourier as module
+
+    assert isinstance(oapoly.fourier, types.ModuleType)
+    assert module is oapoly.fourier and module.fourier is fourier

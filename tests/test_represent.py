@@ -12,7 +12,6 @@ from oapoly import (
     VerificationFailure,
     builtin_group_by_name,
     estimate_norms,
-    fourier,
     phi_group,
     phi_group_blockwise,
     phi_matrix_algebra,
@@ -20,6 +19,7 @@ from oapoly import (
     span_check,
     verify_representation,
 )
+from oapoly.fourier import fourier
 from oapoly.represent import linear_map_from_json, linear_map_to_json
 
 
