@@ -257,9 +257,7 @@ def pn_bound(
             candidates.append(cert)
 
         if refine_steps > 0:
-            refined = _refine_by_central_units(a, n, registry, norm, refine_steps, seed)
-            if refined is not None:
-                candidates.append(refined)
+            candidates.extend(_refine_by_central_units(a, n, registry, norm, refine_steps, seed))
 
     # cheapest first, stable on ties; the first that verifies is kept
     for cert in sorted(candidates, key=lambda c: c.claimed_bound):
@@ -270,13 +268,14 @@ def pn_bound(
 
 def _refine_by_central_units(
     a: AlgElement, n: int, registry: IrrepRegistry, norm: str, steps: int, seed: int
-) -> PnCertificate | None:
+) -> list[PnCertificate]:
     """Search symmetrized certificates (c, delta, ..., delta, a * c^-1)
-    over invertible central c near delta, then expand the best one."""
+    over invertible central c near delta and expand each one that
+    improves on the best so far; the caller verifies them."""
     rng = np.random.default_rng(seed)
     group = registry.group
     delta = delta_identity(group)
-    best_cert = None
+    improving = []
     best_bound = np.inf
     for _ in range(steps):
         scalars = 1.0 + 0.25 * (rng.standard_normal(len(registry.irreps)))
@@ -290,10 +289,10 @@ def _refine_by_central_units(
         bound = float(math.prod(banach_norm(f, norm) for f in factors))
         if bound < best_bound:
             candidate = pn_from_sn(SnCertificate(a, (factors,), n, norm, bound))
-            if verify_certificate(candidate).passed and candidate.claimed_bound < best_bound:
+            if candidate.claimed_bound < best_bound:
                 best_bound = candidate.claimed_bound
-                best_cert = candidate
-    return best_cert
+                improving.append(candidate)
+    return improving
 
 
 def chain_check(

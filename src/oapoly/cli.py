@@ -172,12 +172,11 @@ def _cmd_represent_extract(args) -> int:
     domain = _resolve_domain(doc["domain"], args)
     poly = poly_from_json(doc, domain)
     try:
+        common = {"seed": args.seed, "verify_samples": args.samples, "tol": args.tol}
         if isinstance(domain, MatrixAlgebra):
-            linear = represent.phi_matrix_algebra(poly, seed=args.seed)
+            linear = represent.phi_matrix_algebra(poly, **common)
         else:
-            linear = represent.phi_group(
-                poly, pair_count=args.pairs, verify_samples=args.samples, seed=args.seed
-            )
+            linear = represent.phi_group(poly, pair_count=args.pairs, **common)
     except (VerificationFailure, HomogeneityViolation) as exc:
         payload = {"pass": False, "error": str(exc)}
         if isinstance(exc, VerificationFailure) and exc.max_residual is not None:

@@ -63,24 +63,23 @@ class HomPoly:
 
         Each entry maps a nondecreasing index tuple to the tensor value
         there; evaluation weights every entry by the number of distinct
-        permutations of its index tuple.
+        permutations of its index tuple, as one gather of x through an
+        (entries, n) index array and one product with the (entries, m)
+        weights.
         """
-        entries = []
-        for index, value in tensor.items():
+        idx = np.zeros((len(tensor), degree), dtype=np.intp)
+        weights = np.zeros((len(tensor), codomain_dim), dtype=np.complex128)
+        for row, (index, value) in enumerate(tensor.items()):
             index = tuple(int(i) for i in index)
             if list(index) != sorted(index) or len(index) != degree:
                 raise ValueError(f"tensor multi-index {index} not sorted of length {degree}")
-            value = np.asarray(value, dtype=np.complex128).reshape(codomain_dim)
-            entries.append((index, value, _distinct_permutations(index)))
+            idx[row] = index
+            weights[row] = _distinct_permutations(index) * np.asarray(
+                value, dtype=np.complex128
+            ).reshape(codomain_dim)
 
         def evaluate(x):
-            out = np.zeros(codomain_dim, dtype=np.complex128)
-            for index, value, mult in entries:
-                term = mult
-                for i in index:
-                    term = term * x[i]
-                out += term * value
-            return out
+            return np.prod(x[idx], axis=1) @ weights
 
         return cls(degree, domain, codomain_dim, evaluate, tensor=dict(tensor))
 

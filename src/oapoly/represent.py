@@ -2,21 +2,20 @@
 additive homogeneous polynomial.
 
 For an orthogonally additive degree-n polynomial P there is a unique
-linear map L with P(f) = L(f^n) (products taken in the algebra). Two
-independent extraction routes are implemented:
+linear map L with P(f) = L(f^n) (products taken in the algebra), and
+L(a) = phi(a, u, ..., u) whenever u is a unit for a, with phi the
+polarization of P. Every route reads phi(d, u, ..., u) off n + 1
+evaluations of P on the line u + s d (see ``_unit_slot``):
 
-* matrix algebras: L(a) = phi(a, e, ..., e) with e the identity and
-  phi the polarization of P;
-* group algebras: L(f) = sum over irreps pi of
-  phi(f * e_pi, e_pi, ..., e_pi) with e_pi = dim_pi * chi_pi the
-  central idempotents, assembled directly from convolutions, plus a
-  blockwise route that identifies each minimal ideal with a matrix
-  algebra through the Fourier transform and reuses the matrix-algebra
-  formula per block.
+* matrix algebras: u the identity, d the matrix units;
+* group algebras, the unit slot: u = delta, d the point masses;
+* group algebras, the paper's central-idempotent route: on each
+  minimal ideal u = e_pi = dim_pi * chi_pi and d its matrix units,
+  mapped back to the group basis by the Fourier analysis operator.
 
-Both routes must agree (the representing map is unique); extraction is
-probe-verified and raises VerificationFailure when the input was not
-orthogonally additive.
+The two group routes evaluate P at different points, so their agreement
+is a check. Extraction is probe-verified and raises VerificationFailure
+when the input was not orthogonally additive.
 """
 
 from __future__ import annotations
@@ -27,14 +26,14 @@ import numpy as np
 
 from .domains import AlgebraDomain, GroupAlgebra, MatrixAlgebra
 from .errors import VerificationFailure
-from .fourier import AlgElement, banach_norm, block_element, central_idempotent
+from .fourier import AlgElement, banach_norm, central_idempotent
 from .groups import GroupTable
 from .jsonio import matrix_to_pairs, pairs_to_matrix
 from .polynomials import (
     HomPoly,
+    check_homogeneity,
     check_orthogonal_additivity,
     orthogonal_pairs,
-    polarize,
 )
 
 
@@ -85,6 +84,20 @@ def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol, precheck=None) -
     return L
 
 
+def _unit_slot(P: HomPoly, unit: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """phi(d, u, ..., u) for each row d of `directions`, as (m, rows) columns.
+
+    s -> P(u + s d) has degree n with s^1 coefficient n phi(d, u, ..., u);
+    the coefficient is read off the n + 1 values at the (n+1)-th roots
+    of unity. Terms above degree n would alias into it, so callers
+    probe homogeneity first.
+    """
+    n = P.degree
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    columns = [sum(w.conjugate() * P(unit + w * d) for w in roots) for d in directions]
+    return np.stack(columns, axis=1) / (n * (n + 1))
+
+
 def phi_matrix_algebra(
     P: HomPoly, seed: int = 0, verify_samples: int = 200, tol: float = 1e-9
 ) -> LinearMap:
@@ -92,12 +105,9 @@ def phi_matrix_algebra(
     domain = P.domain
     if not isinstance(domain, MatrixAlgebra):
         raise ValueError("phi_matrix_algebra needs a MatrixAlgebra domain")
-    phi = polarize(P, seed=seed)
-    e = domain.one()
-    rest = [e] * (P.degree - 1)
+    check_homogeneity(P, np.random.default_rng(seed))
     basis = np.eye(domain.dim, dtype=np.complex128)
-    columns = [phi(basis[t], *rest) for t in range(domain.dim)]
-    L = LinearMap(domain, P.codomain_dim, np.stack(columns, axis=1))
+    L = LinearMap(domain, P.codomain_dim, _unit_slot(P, domain.one(), basis))
     return _probe_verify(P, L, verify_samples, seed + 1, tol)
 
 
@@ -109,8 +119,9 @@ def phi_group(
     tol: float = 1e-9,
     precheck: bool = True,
 ) -> LinearMap:
-    """Representing map on a group algebra, assembled from the central
-    idempotents: L(f) = sum_pi phi(f * e_pi, e_pi, ..., e_pi).
+    """Representing map on a group algebra through the unit slot:
+    L(e_t) = phi(delta_t, delta, ..., delta) / N with delta_t = N e_t
+    the point mass of mass one.
 
     Orthogonal additivity is first certified on a generated pair suite;
     extraction then proceeds unconditionally and the result is
@@ -120,27 +131,17 @@ def phi_group(
     domain = P.domain
     if not isinstance(domain, GroupAlgebra):
         raise ValueError("phi_group needs a GroupAlgebra domain")
-    registry = domain.require_registry()
+    domain.require_registry()
 
     precheck_report = None
     if precheck:
         pairs = orthogonal_pairs(domain, pair_count, seed)
         precheck_report = check_orthogonal_additivity(P, pairs, tol=max(tol, 1e-9))
 
-    phi = polarize(P, seed=seed)
-    group = domain.group
-    idempotents = [
-        central_idempotent(group, rep).values for rep in registry.irreps
-    ]
-    basis = np.eye(group.order, dtype=np.complex128)
-    columns = []
-    for t in range(group.order):
-        col = np.zeros(P.codomain_dim, dtype=np.complex128)
-        for e_pi in idempotents:
-            component = domain.mul(basis[t], e_pi)
-            col += phi(component, *([e_pi] * (P.degree - 1)))
-        columns.append(col)
-    L = LinearMap(domain, P.codomain_dim, np.stack(columns, axis=1))
+    check_homogeneity(P, np.random.default_rng(seed))
+    order = domain.dim
+    matrix = _unit_slot(P, domain.one(), order * np.eye(order, dtype=np.complex128)) / order
+    L = LinearMap(domain, P.codomain_dim, matrix)
     return _probe_verify(P, L, verify_samples, seed + 1, tol, precheck=precheck_report)
 
 
@@ -150,25 +151,23 @@ def phi_group_blockwise(
     verify_samples: int = 200,
     tol: float = 1e-9,
 ) -> LinearMap:
-    """Blockwise route: per minimal ideal, pull P back to the matrix
-    algebra through the Fourier block, extract there, and push the
-    block transform back in. Numerically independent of phi_group."""
+    """The paper's central-idempotent route: on each minimal ideal, L is
+    phi(., e_pi, ..., e_pi) with e_pi its unit, read off on the ideal's
+    matrix units (columns of the synthesis operator) and mapped back by
+    the analysis operator. Evaluates P at other points than phi_group,
+    so the two are numerically independent."""
     domain = P.domain
     if not isinstance(domain, GroupAlgebra):
         raise ValueError("phi_group_blockwise needs a GroupAlgebra domain")
     registry = domain.require_registry()
 
-    matrix = np.zeros((P.codomain_dim, domain.dim), dtype=np.complex128)
-    for index, rep in enumerate(registry.irreps):
-        block_domain = MatrixAlgebra(rep.dim)
-
-        def block_poly(m, _index=index):
-            return P(block_element(registry, _index, m.reshape(rep.dim, rep.dim)).values)
-
-        restricted = HomPoly(P.degree, block_domain, P.codomain_dim, block_poly)
-        local = phi_matrix_algebra(restricted, seed=seed, verify_samples=10, tol=tol)
-        matrix += local.matrix @ registry.analysis[registry.block_slices[index]]
-    L = LinearMap(domain, P.codomain_dim, matrix)
+    check_homogeneity(P, np.random.default_rng(seed))
+    units = [central_idempotent(domain.group, rep).values for rep in registry.irreps]
+    on_blocks = [
+        _unit_slot(P, e_pi, registry.synthesis[:, sl].T)
+        for e_pi, sl in zip(units, registry.block_slices)
+    ]
+    L = LinearMap(domain, P.codomain_dim, np.concatenate(on_blocks, axis=1) @ registry.analysis)
     return _probe_verify(P, L, verify_samples, seed + 1, tol)
 
 

@@ -116,6 +116,43 @@ def test_pn_bound_verifies_cheapest_first_and_stops(name, monkeypatch):
         assert np.array_equal(got.values, want.values)
 
 
+@pytest.mark.parametrize("name", ["q8", "s4", "d8"])
+def test_pn_bound_refinement_verifies_each_candidate_at_most_once(name, monkeypatch):
+    group, registry = builtin_group_by_name(name)
+    a = random_element(group, np.random.default_rng(13))
+    n, steps, seed = 3, 3, 5
+    # brute force: every candidate pn_bound builds, all verified, cheapest kept
+    candidates = [pn_from_sn(sn_bound(a, n).certificate)]
+    for per_ideal in (False, True):
+        parts = tuple(_block_root_parts(a, n, registry, per_ideal))
+        bound = float(sum(l1_norm(p) ** n for p in parts))
+        candidates.append(PnCertificate(a, parts, n, "l1", bound))
+    refined = certificates._refine_by_central_units(a, n, registry, "l1", steps, seed)
+    assert refined and all(
+        later.claimed_bound < earlier.claimed_bound for earlier, later in zip(refined, refined[1:])
+    )
+    candidates += refined
+    passed = [verify_certificate(c).passed for c in candidates]
+    assert all(passed[-len(refined):])
+    best = min((c for c, ok in zip(candidates, passed) if ok), key=lambda c: c.claimed_bound)
+    ranked = sorted(range(len(candidates)), key=lambda i: candidates[i].claimed_bound)
+    expected_calls = 1 + next(k for k, i in enumerate(ranked) if passed[i])
+
+    calls = []
+
+    def counting(cert, *args, **kwargs):
+        calls.append(cert)
+        return verify_certificate(cert, *args, **kwargs)
+
+    monkeypatch.setattr(certificates, "verify_certificate", counting)
+    chosen = pn_bound(a, n, registry, refine_steps=steps, seed=seed)
+    assert len(calls) == expected_calls
+    assert chosen.upper == best.claimed_bound
+    assert len(chosen.certificate.parts) == len(best.parts)
+    for got, want in zip(chosen.certificate.parts, best.parts):
+        assert np.array_equal(got.values, want.values)
+
+
 def test_pn_bound_zero_element():
     group, registry = builtin_group_by_name("z4")
     bound = pn_bound(zero_element(group), 2, registry)

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from oapoly import GroupAlgebra, HomPoly, builtin_group_by_name, polarize, random_element
+import oapoly.cli as cli
+from oapoly import (
+    GroupAlgebra,
+    HomPoly,
+    MatrixAlgebra,
+    builtin_group_by_name,
+    polarize,
+    random_element,
+)
 from oapoly.cli import main
 from oapoly.fourier import element_to_json
 from oapoly.jsonio import canonical_dumps
@@ -118,6 +126,63 @@ def test_represent_extract_failure_artifact(s3_files, capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["pass"] is False and "max_residual" in doc
+
+
+def test_represent_extract_honours_tol(s3_files, capsys, tmp_path):
+    # an OA quadratic nudged off its standard form by 1e-7 in one entry
+    doc = json.loads(open(s3_files["good"]).read())
+    doc["tensor"]["1,2"][0] += 1e-7
+    nudged = tmp_path / "nudged.json"
+    nudged.write_text(canonical_dumps(doc))
+    argv = ["represent", "extract", "--group", "s3", "--poly", str(nudged), "--seed", "7"]
+    code, out = run(argv + ["--tol", "1e-3"], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, out = run(argv, capsys)
+    assert code == 1 and json.loads(out)["pass"] is False
+
+
+def test_represent_extract_matrix_domain_honours_tol(tmp_path, capsys, monkeypatch):
+    seen = []
+    extract = cli.represent.phi_matrix_algebra
+
+    def spy(poly, **kwargs):
+        seen.append(kwargs)
+        return extract(poly, **kwargs)
+
+    monkeypatch.setattr(cli.represent, "phi_matrix_algebra", spy)
+    domain = MatrixAlgebra(2)
+    k = domain.k
+    trace_square = HomPoly(
+        2, domain, 1, lambda x: np.array([np.trace(x.reshape(k, k) @ x.reshape(k, k))])
+    )
+    doc = poly_to_json(HomPoly.from_tensor(2, domain, 1, tensor_of(polarize(trace_square))))
+    doc["tensor"]["1,2"][0] += 1e-7
+    path = tmp_path / "nudged.json"
+    path.write_text(canonical_dumps(doc))
+    argv = ["represent", "extract", "--poly", str(path), "--seed", "3", "--samples", "30"]
+    code, out = run(argv + ["--tol", "1e-3"], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+    code, out = run(argv, capsys)
+    assert code == 1 and json.loads(out)["pass"] is False
+    assert seen == [
+        {"seed": 3, "verify_samples": 30, "tol": 1e-3},
+        {"seed": 3, "verify_samples": 30, "tol": 1e-9},
+    ]
+
+
+def test_represent_extract_inhomogeneous_exits_1(s3_files, capsys, monkeypatch):
+    # tensor files are homogeneous by construction; a black box is not
+    def lying(doc, domain):
+        cubic = HomPoly.prototypical(np.arange(1, 7)[None, :], 3, domain)
+        return HomPoly(2, domain, 1, cubic.evaluator)
+
+    monkeypatch.setattr(cli, "poly_from_json", lying)
+    code, out = run(
+        ["represent", "extract", "--group", "s3", "--poly", s3_files["good"], "--seed", "7"],
+        capsys,
+    )
+    assert code == 1
+    assert "homogeneity" in json.loads(out)["error"]
 
 
 def test_norms_commands(s3_files, capsys):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +244,47 @@ def test_tensor_round_trip():
     again = tensor_of(polarize(rebuilt))
     for key, value in tensor.items():
         np.testing.assert_allclose(again[key], value, atol=1e-9)
+
+
+def entrywise_tensor_value(tensor, x, m):
+    """The per-entry sum: each sorted multi-index weighted by its number
+    of distinct permutations."""
+    out = np.zeros(m, dtype=np.complex128)
+    for index, value in tensor.items():
+        counts = np.unique(index, return_counts=True)[1]
+        mult = math.factorial(len(index)) // math.prod(math.factorial(c) for c in counts)
+        out += mult * math.prod(x[i] for i in index) * np.asarray(value).reshape(m)
+    return out
+
+
+@pytest.mark.parametrize("degree,m", [(2, 1), (3, 2), (4, 2)])
+def test_from_tensor_matches_entrywise_sum(degree, m):
+    rng = np.random.default_rng(degree + m)
+    group, registry = builtin_group_by_name("d4")
+    domain = GroupAlgebra(group, registry)
+    indices = list(itertools.combinations_with_replacement(range(8), degree))
+    keep = rng.permutation(len(indices))[:40]
+    tensor = {
+        indices[i]: rng.standard_normal(m) + 1j * rng.standard_normal(m) for i in sorted(keep)
+    }
+    P = HomPoly.from_tensor(degree, domain, m, tensor)
+    for _ in range(5):
+        x = domain.random(rng)
+        np.testing.assert_allclose(P(x), entrywise_tensor_value(tensor, x, m), rtol=1e-13)
+    assert P.tensor == tensor
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_from_tensor_empty_is_zero(m):
+    domain = MatrixAlgebra(2)
+    P = HomPoly.from_tensor(3, domain, m, {})
+    assert np.array_equal(P(domain.random(np.random.default_rng(0))), np.zeros(m))
+    assert poly_to_json(P)["tensor"] == {}
+
+
+def test_from_tensor_rejects_unsorted_index():
+    with pytest.raises(ValueError):
+        HomPoly.from_tensor(2, MatrixAlgebra(2), 1, {(2, 1): np.array([1.0])})
 
 
 def test_poly_json_round_trip():

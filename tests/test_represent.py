@@ -6,6 +6,7 @@ import pytest
 from oapoly import (
     AlgElement,
     GroupAlgebra,
+    HomogeneityViolation,
     HomPoly,
     LinearMap,
     MatrixAlgebra,
@@ -251,3 +252,90 @@ def test_linear_map_json_round_trip():
     doc = linear_map_to_json(L)
     loaded = linear_map_from_json(doc, domain)
     np.testing.assert_allclose(loaded.matrix, matrix, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# extraction through one slot: n + 1 evaluations per direction
+
+
+def counting(P):
+    calls = []
+
+    def evaluate(x):
+        calls.append(1)
+        return P(x)
+
+    return HomPoly(P.degree, P.domain, P.codomain_dim, evaluate), calls
+
+
+@pytest.mark.parametrize("name", ["q8", "s4", "d8", "z32"])
+def test_both_routes_recover_and_agree(name):
+    group, registry = builtin_group_by_name(name)
+    domain = GroupAlgebra(group, registry)
+    rng = np.random.default_rng(group.order)
+    for n in (2, 3, 4):
+        linear = rng.standard_normal((2, group.order)) + 1j * rng.standard_normal((2, group.order))
+        P = HomPoly.prototypical(linear, n, domain)
+        direct = phi_group(P, seed=n, pair_count=20, verify_samples=20)
+        blockwise = phi_group_blockwise(P, seed=n, verify_samples=20)
+        assert np.abs(direct.matrix - linear).max() <= 1e-12, (name, n)
+        assert np.abs(blockwise.matrix - linear).max() <= 1e-12, (name, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_route_spends_n_plus_one_evaluations_per_basis_element(n):
+    group, registry = builtin_group_by_name("s4")
+    domain = GroupAlgebra(group, registry)
+    rng = np.random.default_rng(n)
+    linear = rng.standard_normal((1, 24)) + 1j * rng.standard_normal((1, 24))
+    homogeneity, pairs, probes = 2 * 3, 3 * 7, 5  # two per probe, three per pair
+    P, calls = counting(HomPoly.prototypical(linear, n, domain))
+    phi_group(P, seed=1, pair_count=7, verify_samples=probes)
+    assert len(calls) == 24 * (n + 1) + homogeneity + pairs + probes
+    P, calls = counting(HomPoly.prototypical(linear, n, domain))
+    phi_group(P, seed=1, verify_samples=probes, precheck=False)
+    assert len(calls) == 24 * (n + 1) + homogeneity + probes
+    P, calls = counting(HomPoly.prototypical(linear, n, domain))
+    phi_group_blockwise(P, seed=1, verify_samples=probes)
+    assert len(calls) == 24 * (n + 1) + homogeneity + probes
+    matrices = MatrixAlgebra(3)
+    P, calls = counting(HomPoly.prototypical(rng.standard_normal((1, 9)), n, matrices))
+    phi_matrix_algebra(P, seed=1, verify_samples=probes)
+    assert len(calls) == 9 * (n + 1) + homogeneity + probes
+
+
+def group_trace_square(group, registry):
+    """The square of the trace of one block of dimension >= 2: homogeneous,
+    additive across ideals, but not within its own ideal."""
+    domain = GroupAlgebra(group, registry)
+    index = next(i for i, rep in enumerate(registry.irreps) if rep.dim >= 2)
+
+    def evaluate(x):
+        return np.array([np.trace(fourier(AlgElement(group, x), registry).blocks[index]) ** 2])
+
+    return HomPoly(2, domain, 1, evaluate)
+
+
+@pytest.mark.parametrize("name", ["q8", "s4", "d8"])
+@pytest.mark.parametrize("route", [phi_group, phi_group_blockwise])
+def test_trace_square_control_rejected_by_group_routes(name, route):
+    group, registry = builtin_group_by_name(name)
+    with pytest.raises(VerificationFailure):
+        route(group_trace_square(group, registry), seed=2)
+
+
+def test_inhomogeneous_blackbox_rejected_by_every_route():
+    # degree 2 declared, degree 3 inside: roots-of-unity extraction would
+    # alias the cubic term into the linear one without the probe
+    group, registry = builtin_group_by_name("s3")
+    domain = GroupAlgebra(group, registry)
+    linear = np.arange(1, 7)[None, :]
+    cubic = HomPoly.prototypical(linear, 3, domain)
+    lying = HomPoly(2, domain, 1, cubic.evaluator)
+    for route in (phi_group, phi_group_blockwise):
+        with pytest.raises(HomogeneityViolation):
+            route(lying, seed=4)
+    matrices = MatrixAlgebra(2)
+    lying = HomPoly(2, matrices, 1, lambda x: np.array([np.trace(matrices.product_power(x, 3).reshape(2, 2))]))
+    with pytest.raises(HomogeneityViolation):
+        phi_matrix_algebra(lying, seed=4)
