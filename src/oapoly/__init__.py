@@ -50,7 +50,6 @@ from .polynomials import (
 )
 from .represent import (
     LinearMap,
-    estimate_norms,
     phi_group,
     phi_group_blockwise,
     phi_matrix_algebra,
@@ -62,9 +61,7 @@ from .certificates import (
     PnCertificate,
     SnCertificate,
     chain_check,
-    concat_certificates,
     pn_bound,
-    scale_certificate,
     sn_bound,
     verify_certificate,
 )

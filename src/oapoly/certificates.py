@@ -12,7 +12,9 @@ pins the symmetrized norm to exactly the L1 norm; the power norm is
 squeezed between that and the factor n^n / n!.
 
 All reported numbers are labeled lower/upper; nothing here claims an
-exact infimum.
+exact infimum. Every certificate is taken in the normalized L1 norm,
+the norm of the paper's algebra L1(G); the JSON format records it as
+"norm": "l1" and rejects any other value on load.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .domains import GroupAlgebra
 from .fourier import (
     AlgElement,
-    banach_norm,
     block_element,
     convolve,
     delta_identity,
@@ -51,7 +52,6 @@ class PnCertificate:
     target: AlgElement
     parts: tuple[AlgElement, ...]
     degree: int
-    norm: str = "l1"
     claimed_bound: float = 0.0
 
     def reconstruction(self) -> AlgElement:
@@ -61,7 +61,7 @@ class PnCertificate:
         return AlgElement(group, GroupAlgebra(group).product_power(values, self.degree).sum(axis=0))
 
     def recompute_bound(self) -> float:
-        return float(sum(banach_norm(part, self.norm) ** self.degree for part in self.parts))
+        return float(sum(l1_norm(part) ** self.degree for part in self.parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +71,6 @@ class SnCertificate:
     target: AlgElement
     tuples: tuple[tuple[AlgElement, ...], ...]
     degree: int
-    norm: str = "l1"
     claimed_bound: float = 0.0
 
     def reconstruction(self) -> AlgElement:
@@ -82,10 +81,7 @@ class SnCertificate:
 
     def recompute_bound(self) -> float:
         return float(
-            sum(
-                math.prod(banach_norm(factor, self.norm) for factor in factors)
-                for factors in self.tuples
-            )
+            sum(math.prod(l1_norm(factor) for factor in factors) for factors in self.tuples)
         )
 
 
@@ -114,25 +110,21 @@ class CertificateReport:
         }
 
 
-def verify_certificate(
-    cert: PnCertificate | SnCertificate,
-    recon_tol: float = RECON_TOL,
-    bound_tol: float = BOUND_TOL,
-) -> CertificateReport:
+def verify_certificate(cert: PnCertificate | SnCertificate) -> CertificateReport:
     """Recompute the reconstruction sum and the claimed bound."""
-    target_norm = banach_norm(cert.target, cert.norm)
-    residual = banach_norm(cert.reconstruction() - cert.target, cert.norm)
+    target_norm = l1_norm(cert.target)
+    residual = l1_norm(cert.reconstruction() - cert.target)
     rel = residual / max(target_norm, 1.0)
     bound = cert.recompute_bound()
     bound_residual = abs(bound - cert.claimed_bound) / max(1.0, abs(cert.claimed_bound))
     return CertificateReport(
-        passed=(rel <= recon_tol and bound_residual <= bound_tol),
+        passed=(rel <= RECON_TOL and bound_residual <= BOUND_TOL),
         reconstruction_residual=rel,
         bound_residual=bound_residual,
     )
 
 
-def sn_bound(a: AlgElement, n: int, norm: str = "l1") -> NormBound:
+def sn_bound(a: AlgElement, n: int) -> NormBound:
     """Symmetrized-norm bound; exact on the L1 group algebra.
 
     The tuple (delta, ..., delta, a) reconstructs a because delta is a
@@ -141,19 +133,19 @@ def sn_bound(a: AlgElement, n: int, norm: str = "l1") -> NormBound:
     """
     delta = delta_identity(a.group)
     factors = tuple([delta] * (n - 1) + [a])
-    bound = float(math.prod(banach_norm(f, norm) for f in factors))
-    cert = SnCertificate(a, (factors,), n, norm, bound)
-    return NormBound(lower=banach_norm(a, norm), upper=bound, certificate=cert)
+    bound = float(math.prod(l1_norm(f) for f in factors))
+    cert = SnCertificate(a, (factors,), n, bound)
+    return NormBound(lower=l1_norm(a), upper=bound, certificate=cert)
 
 
-def _phase_canonical(f: AlgElement, norm: str) -> tuple[complex, AlgElement]:
+def _phase_canonical(f: AlgElement) -> tuple[complex, AlgElement]:
     """Factor f = scalar * unit with a phase-canonical unit vector.
 
     The unit depends on f only up to a global complex scalar (the phase
     of the largest entry is pinned), which makes polarization bounds
     exactly |lambda|-homogeneous under f -> lambda f.
     """
-    size = banach_norm(f, norm)
+    size = l1_norm(f)
     peak = f.values[int(np.argmax(np.abs(f.values)))]
     phase = peak / abs(peak)
     return size * phase, f * (1.0 / (size * phase))
@@ -169,7 +161,7 @@ def pn_from_sn(cert: SnCertificate) -> PnCertificate:
     for factors in cert.tuples:
         if any(np.abs(f.values).max() == 0.0 for f in factors):
             continue  # a zero factor kills the whole symmetrized product
-        scalars, normalized = zip(*(_phase_canonical(f, cert.norm) for f in factors))
+        scalars, normalized = zip(*(_phase_canonical(f) for f in factors))
         weight = math.prod(scalars) / (math.factorial(n) * 2**n)
         for signs in itertools.product((1, -1), repeat=n):
             beta = complex(math.prod(signs) * weight) ** (1.0 / n)
@@ -178,8 +170,8 @@ def pn_from_sn(cert: SnCertificate) -> PnCertificate:
                 combo += s * b.values
             parts.append(AlgElement(group, beta * combo))
     parts_tuple = tuple(parts)
-    bound = float(sum(banach_norm(part, cert.norm) ** n for part in parts_tuple))
-    return PnCertificate(cert.target, parts_tuple, n, cert.norm, bound)
+    bound = float(sum(l1_norm(part) ** n for part in parts_tuple))
+    return PnCertificate(cert.target, parts_tuple, n, bound)
 
 
 def _is_idempotent(a: AlgElement) -> bool:
@@ -215,7 +207,6 @@ def pn_bound(
     a: AlgElement,
     n: int,
     registry: IrrepRegistry | None = None,
-    norm: str = "l1",
     refine_steps: int = 0,
     seed: int = 0,
 ) -> NormBound:
@@ -229,35 +220,29 @@ def pn_bound(
     part per ideal). Optional refinement perturbs the symmetrized side
     by central units, accepting improvements; off by default.
     """
-    lower = banach_norm(a, norm)
+    lower = l1_norm(a)
     candidates: list[PnCertificate] = []
 
     if np.abs(a.values).max() == 0.0:
-        cert = PnCertificate(a, (), n, norm, 0.0)
+        cert = PnCertificate(a, (), n, 0.0)
         return NormBound(0.0, 0.0, cert)
 
-    base = pn_from_sn(sn_bound(a, n, norm).certificate)
+    base = pn_from_sn(sn_bound(a, n).certificate)
     candidates.append(base)
 
     if _is_idempotent(a):
-        candidates.append(PnCertificate(a, (a,), n, norm, banach_norm(a, norm) ** n))
+        candidates.append(PnCertificate(a, (a,), n, l1_norm(a) ** n))
 
     if registry is not None and registry.is_complete():
         for per_ideal in (False, True):
             parts = _block_root_parts(a, n, registry, per_ideal)
             if parts is None:
                 continue
-            cert = PnCertificate(
-                a,
-                tuple(parts),
-                n,
-                norm,
-                float(sum(banach_norm(p, norm) ** n for p in parts)),
-            )
-            candidates.append(cert)
+            bound = float(sum(l1_norm(p) ** n for p in parts))
+            candidates.append(PnCertificate(a, tuple(parts), n, bound))
 
         if refine_steps > 0:
-            candidates.extend(_refine_by_central_units(a, n, registry, norm, refine_steps, seed))
+            candidates.extend(_refine_by_central_units(a, n, registry, refine_steps, seed))
 
     # cheapest first, stable on ties; the first that verifies is kept
     for cert in sorted(candidates, key=lambda c: c.claimed_bound):
@@ -267,7 +252,7 @@ def pn_bound(
 
 
 def _refine_by_central_units(
-    a: AlgElement, n: int, registry: IrrepRegistry, norm: str, steps: int, seed: int
+    a: AlgElement, n: int, registry: IrrepRegistry, steps: int, seed: int
 ) -> list[PnCertificate]:
     """Search symmetrized certificates (c, delta, ..., delta, a * c^-1)
     over invertible central c near delta and expand each one that
@@ -286,22 +271,20 @@ def _refine_by_central_units(
         c = inverse_fourier(FourierSide(registry, tuple(blocks)))
         c_inv = inverse_fourier(FourierSide(registry, tuple(inverse_blocks)))
         factors = tuple([c] + [delta] * (n - 2) + [convolve(a, c_inv)])
-        bound = float(math.prod(banach_norm(f, norm) for f in factors))
+        bound = float(math.prod(l1_norm(f) for f in factors))
         if bound < best_bound:
-            candidate = pn_from_sn(SnCertificate(a, (factors,), n, norm, bound))
+            candidate = pn_from_sn(SnCertificate(a, (factors,), n, bound))
             if candidate.claimed_bound < best_bound:
                 best_bound = candidate.claimed_bound
                 improving.append(candidate)
     return improving
 
 
-def chain_check(
-    a: AlgElement, n: int, registry: IrrepRegistry | None = None, norm: str = "l1"
-) -> dict:
+def chain_check(a: AlgElement, n: int, registry: IrrepRegistry | None = None) -> dict:
     """The certified inequality chain
     lower <= sn_upper <= pn_upper <= (n^n / n!) * sn_upper."""
-    sn = sn_bound(a, n, norm)
-    pn = pn_bound(a, n, registry, norm)
+    sn = sn_bound(a, n)
+    pn = pn_bound(a, n, registry)
     slack = n**n / math.factorial(n)
     ok = (
         sn.lower <= sn.upper + 1e-12
@@ -318,44 +301,6 @@ def chain_check(
     }
 
 
-def scale_certificate(cert, scalar: complex):
-    """Certificate for scalar * a with bound |scalar| * old bound,
-    obtained by distributing an n-th root of the scalar into parts."""
-    if isinstance(cert, PnCertificate):
-        beta = complex(scalar) ** (1.0 / cert.degree)
-        parts = tuple(beta * part for part in cert.parts)
-        return PnCertificate(
-            scalar * cert.target,
-            parts,
-            cert.degree,
-            cert.norm,
-            float(abs(scalar)) * cert.claimed_bound,
-        )
-    if isinstance(cert, SnCertificate):
-        tuples = tuple(
-            (scalar * factors[0],) + tuple(factors[1:]) for factors in cert.tuples
-        )
-        return SnCertificate(
-            scalar * cert.target,
-            tuples,
-            cert.degree,
-            cert.norm,
-            float(abs(scalar)) * cert.claimed_bound,
-        )
-    raise TypeError("unknown certificate type")
-
-
-def concat_certificates(left, right):
-    """Certificate for a + b by concatenating decompositions."""
-    if type(left) is not type(right) or left.degree != right.degree or left.norm != right.norm:
-        raise TypeError("certificates must share type, degree and norm")
-    target = left.target + right.target
-    bound = left.claimed_bound + right.claimed_bound
-    if isinstance(left, PnCertificate):
-        return PnCertificate(target, left.parts + right.parts, left.degree, left.norm, bound)
-    return SnCertificate(target, left.tuples + right.tuples, left.degree, left.norm, bound)
-
-
 # ---------------------------------------------------------------------------
 # JSON format
 
@@ -364,7 +309,7 @@ def certificate_to_json(cert) -> dict:
     doc = {
         "group": cert.target.group.name,
         "degree": cert.degree,
-        "norm": cert.norm,
+        "norm": "l1",
         "target": vector_to_pairs(cert.target.values),
         "claimed_bound": cert.claimed_bound,
     }
@@ -383,14 +328,15 @@ def certificate_to_json(cert) -> dict:
 def certificate_from_json(doc: dict, group: GroupTable):
     target = element_from_json({"group": doc["group"], "values": doc["target"]}, group)
     degree = int(doc["degree"])
-    norm = str(doc["norm"])
+    if doc["norm"] != "l1":
+        raise ValueError(f"certificate norm must be \"l1\", got {doc['norm']!r}")
     bound = float(doc["claimed_bound"])
     if doc["type"] == "pn":
         parts = tuple(
             element_from_json({"group": doc["group"], "values": values}, group)
             for values in doc["parts"]
         )
-        return PnCertificate(target, parts, degree, norm, bound)
+        return PnCertificate(target, parts, degree, bound)
     tuples = tuple(
         tuple(
             element_from_json({"group": doc["group"], "values": values}, group)
@@ -398,7 +344,7 @@ def certificate_from_json(doc: dict, group: GroupTable):
         )
         for factors in doc["tuples"]
     )
-    return SnCertificate(target, tuples, degree, norm, bound)
+    return SnCertificate(target, tuples, degree, bound)
 
 
 def normbound_to_json(bound: NormBound) -> dict:

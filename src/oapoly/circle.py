@@ -122,9 +122,9 @@ class Grid:
             raise ValueError("grid needs at least one point")
 
 
-def default_grid(*polys: TrigPoly, minimum: int = DEFAULT_QUADRATURE_POINTS) -> Grid:
+def default_grid(*polys: TrigPoly) -> Grid:
     degree = max((f.degree for f in polys), default=0)
-    return Grid(max(4 * (degree + 1), minimum))
+    return Grid(max(4 * (degree + 1), DEFAULT_QUADRATURE_POINTS))
 
 
 def lp_norm_t(f: TrigPoly, p: float, grid: Grid) -> float:

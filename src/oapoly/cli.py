@@ -70,13 +70,35 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
-def _resolve_group(args):
+def _load_group(args):
+    """The group and registry named by --group or --group-file, as given."""
     if getattr(args, "group_file", None):
-        group, registry = group_from_json(_load_json(args.group_file))
-        return group, registry
+        return group_from_json(_load_json(args.group_file))
     if getattr(args, "group", None):
         return builtin_group_by_name(args.group)
     raise OapolyError("no group given: use --group NAME or --group-file PATH")
+
+
+def _validation_reports(group, registry) -> list:
+    """validate_group, then validate_irreps when there is a registry and
+    the table passed (the irrep checks index through the table)."""
+    reports = [validate_group(group)]
+    if registry is not None and reports[0].ok:
+        reports.append(validate_irreps(group, registry))
+    return reports
+
+
+def _resolve_group(args):
+    """As _load_group; a group file must also pass its validation."""
+    group, registry = _load_group(args)
+    if getattr(args, "group_file", None):
+        reports = _validation_reports(group, registry)
+        violations = [v for report in reports for v in report.violations]
+        if violations:
+            raise OapolyError(
+                f"group file {args.group_file} fails validation: " + "; ".join(violations)
+            )
+    return group, registry
 
 
 def _resolve_domain(doc_domain: dict, args):
@@ -116,17 +138,11 @@ def _emit(args, payload, csv_fields=None, csv_rows=None) -> None:
 
 
 def _cmd_group_validate(args) -> int:
-    group, registry = _resolve_group(args)
-    table_report = validate_group(group)
-    payload = {"table": table_report.to_dict()}
-    ok = table_report.ok
-    if registry is not None:
-        irrep_report = validate_irreps(group, registry)
-        payload["irreps"] = irrep_report.to_dict()
-        ok = ok and irrep_report.ok
-    payload["pass"] = ok
+    reports = _validation_reports(*_load_group(args))
+    payload = {key: report.to_dict() for key, report in zip(("table", "irreps"), reports)}
+    payload["pass"] = all(report.ok for report in reports)
     _emit(args, payload)
-    return 0 if ok else 1
+    return 0 if payload["pass"] else 1
 
 
 def _cmd_group_info(args) -> int:
@@ -183,9 +199,7 @@ def _cmd_represent_extract(args) -> int:
             payload["max_residual"] = exc.max_residual
         _emit(args, payload)
         return 1
-    verify = represent.verify_representation(
-        poly, linear, samples=args.samples, seed=args.seed + 1, tol=args.tol
-    )
+    verify = linear.verification
     payload = {"phi": linear_map_to_json(linear), "verify": verify, "pass": verify["pass"]}
     _emit(args, payload)
     return 0 if verify["pass"] else 1

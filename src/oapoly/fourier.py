@@ -222,14 +222,11 @@ def banach_norm(
 ) -> float:
     """The one dispatcher of the norms on the group algebra.
 
-    which: "l1", "linf", "lp" (needs p >= 1, given as p or as the
-    certificate selector "lp:p"), "ag" (sum of dim * trace norms of the
-    Fourier blocks), or "sp" (needs p >= 1; L1 norm plus the
-    dim-weighted Schatten-p aggregate of the blocks). "ag" and "sp"
-    need a complete registry.
+    which: "l1", "linf", "lp" (needs p >= 1), "ag" (sum of dim * trace
+    norms of the Fourier blocks), or "sp" (needs p >= 1; L1 norm plus
+    the dim-weighted Schatten-p aggregate of the blocks). "ag" and "sp"
+    need a complete registry. Certificates always use "l1".
     """
-    if which.startswith("lp:"):
-        which, p = "lp", float(which[3:])
     if which == "l1":
         return l1_norm(f)
     if which == "lp":

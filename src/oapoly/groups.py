@@ -27,9 +27,12 @@ from .jsonio import matrix_to_pairs, pairs_to_matrix
 
 MAX_ORDER = 512
 
-# Default tolerances: essentially-linear identities vs squared quantities.
+# Validation tolerances: essentially-linear identities vs squared quantities.
 TOL_LINEAR = 1e-12
 TOL_QUADRATIC = 1e-10
+
+# validate_group lists at most this many violations of each kind
+MAX_LISTED = 20
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -405,8 +408,9 @@ def builtin_group_by_name(name: str) -> tuple[GroupTable, IrrepRegistry]:
 # validation
 
 
-def validate_group(g: GroupTable, max_listed: int = 20) -> ValidationReport:
-    """Check the group axioms exhaustively and report every violation."""
+def validate_group(g: GroupTable) -> ValidationReport:
+    """Check the group axioms exhaustively and report the violations,
+    at most MAX_LISTED of each kind."""
     violations: list[str] = []
     n = g.order
     mult, inv, e = g.mult, g.inv, g.identity
@@ -420,13 +424,13 @@ def validate_group(g: GroupTable, max_listed: int = 20) -> ValidationReport:
 
     idx = np.arange(n)
     bad = np.nonzero(mult[e] != idx)[0]
-    for t in bad[:max_listed]:
+    for t in bad[:MAX_LISTED]:
         violations.append(f"identity: e*{t} = {mult[e, t]} != {t}")
     bad = np.nonzero(mult[:, e] != idx)[0]
-    for t in bad[:max_listed]:
+    for t in bad[:MAX_LISTED]:
         violations.append(f"identity: {t}*e = {mult[t, e]} != {t}")
     bad = np.nonzero((mult[idx, inv] != e) | (mult[inv, idx] != e))[0]
-    for t in bad[:max_listed]:
+    for t in bad[:MAX_LISTED]:
         violations.append(f"inverse: {t} and inv[{t}]={inv[t]} do not compose to e")
 
     assoc_bad = 0
@@ -435,21 +439,16 @@ def validate_group(g: GroupTable, max_listed: int = 20) -> ValidationReport:
         rhs = mult[a][mult]  # (b, c) -> a*(b*c)
         mism = np.argwhere(lhs != rhs)
         for b, c in mism:
-            if assoc_bad < max_listed:
+            if assoc_bad < MAX_LISTED:
                 violations.append(f"associativity: ({a}*{b})*{c} != {a}*({b}*{c})")
             assoc_bad += 1
-    if assoc_bad > max_listed:
+    if assoc_bad > MAX_LISTED:
         violations.append(f"associativity: {assoc_bad} violating triples in total")
 
     return ValidationReport(g.name, not violations, tuple(violations), {})
 
 
-def validate_irreps(
-    g: GroupTable,
-    registry: IrrepRegistry,
-    tol_linear: float = TOL_LINEAR,
-    tol_quadratic: float = TOL_QUADRATIC,
-) -> ValidationReport:
+def validate_irreps(g: GroupTable, registry: IrrepRegistry) -> ValidationReport:
     """Check unitarity, homomorphism, irreducibility, completeness and
     character orthogonality; report max residuals for each."""
     violations: list[str] = []
@@ -467,19 +466,19 @@ def validate_irreps(
         eye = eye_cache.setdefault(rep.dim, np.eye(rep.dim))
         unit = np.abs(mats @ mats.conj().transpose(0, 2, 1) - eye).max()
         residuals[f"unitarity[{rep.label}]"] = unit
-        if unit > tol_linear:
+        if unit > TOL_LINEAR:
             violations.append(f"{rep.label}: unitarity residual {unit:.3e}")
 
         prod = np.einsum("sij,tjk->stik", mats, mats)
         hom = np.abs(mats[g.mult] - prod).max()
         residuals[f"homomorphism[{rep.label}]"] = hom
-        if hom > tol_linear:
+        if hom > TOL_LINEAR:
             violations.append(f"{rep.label}: homomorphism residual {hom:.3e}")
 
         chi = rep.character
         irr = abs(np.vdot(chi, chi).real / n - 1.0)
         residuals[f"irreducibility[{rep.label}]"] = irr
-        if irr > tol_quadratic:
+        if irr > TOL_QUADRATIC:
             violations.append(f"{rep.label}: |chi|^2 mean off by {irr:.3e}")
 
     total = sum(d * d for d in registry.dims)
@@ -491,7 +490,7 @@ def validate_irreps(
     gram = chars @ chars.conj().T / n
     ortho = np.abs(gram - np.eye(len(registry.irreps))).max() if len(registry.irreps) else 0.0
     residuals["character_orthogonality"] = float(ortho)
-    if ortho > tol_quadratic:
+    if ortho > TOL_QUADRATIC:
         violations.append(f"character orthogonality residual {ortho:.3e}")
 
     if total == n:
@@ -503,7 +502,7 @@ def validate_irreps(
         target[g.identity] = n
         reg = np.abs(regular - target).max()
         residuals["regular_character"] = float(reg)
-        if reg > tol_quadratic:
+        if reg > TOL_QUADRATIC:
             violations.append(f"regular character residual {reg:.3e}")
 
     return ValidationReport(

@@ -2,7 +2,8 @@
 
 Canonical output is byte-deterministic: object keys sorted, floats
 printed with 17 significant digits, no whitespace surprises. Complex
-numbers travel as [re, im] pairs everywhere in the file formats.
+numbers travel as [re, im] pairs everywhere in the file formats; the
+pair loaders raise ValueError naming any value that is not one.
 """
 
 from __future__ import annotations
@@ -63,8 +64,18 @@ def complex_to_pair(z) -> list[float]:
 
 
 def pair_to_complex(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
+    if isinstance(pair, list) and len(pair) == 2:
+        try:
+            return complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r:.80}")
+
+
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of {what}, got {value!r:.80}")
+    return value
 
 
 def vector_to_pairs(values) -> list[list[float]]:
@@ -72,7 +83,9 @@ def vector_to_pairs(values) -> list[list[float]]:
 
 
 def pairs_to_vector(pairs) -> np.ndarray:
-    return np.array([pair_to_complex(p) for p in pairs], dtype=np.complex128)
+    return np.array(
+        [pair_to_complex(p) for p in _require_list(pairs, "[re, im] pairs")], dtype=np.complex128
+    )
 
 
 def matrix_to_pairs(mat) -> list[list[list[float]]]:
@@ -82,7 +95,11 @@ def matrix_to_pairs(mat) -> list[list[list[float]]]:
 
 def pairs_to_matrix(rows) -> np.ndarray:
     return np.array(
-        [[pair_to_complex(p) for p in row] for row in rows], dtype=np.complex128
+        [
+            [pair_to_complex(p) for p in _require_list(row, "[re, im] pairs")]
+            for row in _require_list(rows, "rows of [re, im] pairs")
+        ],
+        dtype=np.complex128,
     )
 
 

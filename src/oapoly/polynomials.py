@@ -33,6 +33,10 @@ MAX_DEGREE = 6  # polarization costs 2^n evaluations per tuple
 # zero products are accepted when |xy| <= ORTHO_SCALE * |x| |y|
 ORTHO_SCALE = 1e-12
 
+# homogeneity is probed at this many random points, to this relative residual
+HOMOGENEITY_PROBES = 3
+HOMOGENEITY_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class HomPoly:
@@ -120,21 +124,22 @@ def _distinct_permutations(index: tuple[int, ...]) -> int:
     return total
 
 
-def check_homogeneity(P: HomPoly, rng: np.random.Generator, probes: int = 3, tol: float = 1e-9) -> float:
-    """Probe P(lambda x) = lambda^n P(x); raises on failure.
+def check_homogeneity(P: HomPoly, rng: np.random.Generator) -> float:
+    """Probe P(lambda x) = lambda^n P(x) at HOMOGENEITY_PROBES random
+    points; raises when the relative residual exceeds HOMOGENEITY_TOL.
 
     Polarization silently corrupts non-homogeneous inputs, so black
     boxes are never trusted on their declared degree.
     """
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(HOMOGENEITY_PROBES):
         x = P.domain.random(rng)
         lam = complex(rng.standard_normal(), rng.standard_normal())
         lhs = P(lam * x)
         rhs = lam**P.degree * P(x)
         residual = float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(rhs)))
         worst = max(worst, residual)
-    if worst > tol:
+    if worst > HOMOGENEITY_TOL:
         raise HomogeneityViolation(
             f"declared degree {P.degree} fails the homogeneity probe "
             f"(relative residual {worst:.3e})"
@@ -142,12 +147,12 @@ def check_homogeneity(P: HomPoly, rng: np.random.Generator, probes: int = 3, tol
     return worst
 
 
-def polarize(P: HomPoly, seed: int = 0, probe_tol: float = 1e-9) -> SymMultilinear:
+def polarize(P: HomPoly, seed: int = 0) -> SymMultilinear:
     """The unique symmetric n-linear map whose diagonal is P."""
     n = P.degree
     if n > MAX_DEGREE:
         raise ValueError(f"polarization degree capped at {MAX_DEGREE}")
-    check_homogeneity(P, np.random.default_rng(seed), tol=probe_tol)
+    check_homogeneity(P, np.random.default_rng(seed))
     sign_patterns = [
         (np.prod(signs), signs) for signs in itertools.product((1, -1), repeat=n)
     ]
@@ -231,7 +236,6 @@ def orthogonal_pairs(
     count: int,
     seed: int,
     mode: str = "mixed",
-    include_zero: bool = True,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Generate pairs (x, y) with x y = y x = 0 in the domain.
 
@@ -240,12 +244,13 @@ def orthogonal_pairs(
     diagonal blocks of one ideal, conjugated by a random unitary), or
     "mixed" (50/50 where both exist). Matrix algebras only have the
     within-block family; pointwise algebras use disjoint supports.
-    Every emitted pair is checked for two-sided zero products.
+    The first pair is the degenerate (x, 0). Every emitted pair is
+    checked for two-sided zero products.
     """
     rng = np.random.default_rng(seed)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
 
-    if include_zero and count > 0:
+    if count > 0:
         pairs.append((domain.random(rng), np.zeros(domain.dim, dtype=np.complex128)))
 
     if isinstance(domain, GroupAlgebra):

@@ -20,13 +20,13 @@ when the input was not orthogonally additive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domains import AlgebraDomain, GroupAlgebra, MatrixAlgebra
 from .errors import VerificationFailure
-from .fourier import AlgElement, banach_norm, central_idempotent
+from .fourier import central_idempotent
 from .groups import GroupTable
 from .jsonio import matrix_to_pairs, pairs_to_matrix
 from .polynomials import (
@@ -36,6 +36,9 @@ from .polynomials import (
     orthogonal_pairs,
 )
 
+# span_check counts singular values above this fraction of the largest
+SPAN_THRESHOLD = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class LinearMap:
@@ -44,6 +47,8 @@ class LinearMap:
     domain: AlgebraDomain
     codomain_dim: int
     matrix: np.ndarray  # (m, dim)
+    # the probe report of the extraction that returned this map, if any
+    verification: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
@@ -71,7 +76,8 @@ def linear_map_from_json(doc: dict, domain: AlgebraDomain) -> LinearMap:
 
 
 def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol, precheck=None) -> LinearMap:
-    """Return L when it passes :func:`verify_representation`, else raise."""
+    """Return L, carrying its :func:`verify_representation` report as
+    ``L.verification``, when it passes; else raise."""
     report = verify_representation(P, L, samples=samples, seed=seed, tol=tol)
     if not report["pass"]:
         raise VerificationFailure(
@@ -81,6 +87,7 @@ def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol, precheck=None) -
             max_residual=report["max_residual"],
             precheck=precheck,
         )
+    object.__setattr__(L, "verification", report)
     return L
 
 
@@ -187,11 +194,12 @@ def verify_representation(
     return {"max_residual": worst, "pass": worst <= tol, "samples": samples, "tol": tol}
 
 
-def span_check(group: GroupTable, n: int, seed: int = 0, threshold: float = 1e-8) -> dict:
+def span_check(group: GroupTable, n: int, seed: int = 0) -> dict:
     """Numerical rank of the span of random n-th convolution powers.
 
     The span of {f^n} is the whole algebra, so the rank must equal the
-    group order; rank counts singular values above threshold * largest.
+    group order; rank counts singular values above SPAN_THRESHOLD times
+    the largest.
     """
     rng = np.random.default_rng(seed)
     samples = 2 * group.order
@@ -200,7 +208,7 @@ def span_check(group: GroupTable, n: int, seed: int = 0, threshold: float = 1e-8
     )
     powers = GroupAlgebra(group).product_power(probes, n)
     sv = np.linalg.svd(powers, compute_uv=False)
-    rank = int((sv > threshold * sv[0]).sum()) if sv.size else 0
+    rank = int((sv > SPAN_THRESHOLD * sv[0]).sum()) if sv.size else 0
     return {
         "group": group.name,
         "order": group.order,
@@ -208,101 +216,4 @@ def span_check(group: GroupTable, n: int, seed: int = 0, threshold: float = 1e-8
         "samples": samples,
         "rank": rank,
         "pass": rank == group.order,
-    }
-
-
-def _dual_upper_bound(L: LinearMap) -> float:
-    """Exact operator norm bound for L against the domain's unit ball.
-
-    Group algebras with the normalized L1 norm: extreme points are
-    single-point masses of mass N, so the norm is N * max column
-    length. Matrix algebras with the spectral norm: each row acts by
-    a trace pairing, bounded by its nuclear norm.
-    """
-    domain = L.domain
-    if isinstance(domain, GroupAlgebra):
-        column_norms = np.linalg.norm(L.matrix, axis=0)
-        return float(domain.group.order * column_norms.max(initial=0.0))
-    if isinstance(domain, MatrixAlgebra):
-        k = domain.k
-        total = 0.0
-        for row in L.matrix:
-            sv = np.linalg.svd(row.reshape(k, k), compute_uv=False)
-            total += float(sv.sum()) ** 2
-        return float(np.sqrt(total))
-    raise ValueError(f"no dual bound for domain {type(domain).__name__}")
-
-
-def estimate_norms(
-    P: HomPoly,
-    L: LinearMap,
-    which: str = "l1",
-    p: float | None = None,
-    samples: int = 200,
-    seed: int = 0,
-    cert_samples: int = 20,
-    parts_per_cert: int = 3,
-    poly_norm_upper: float | None = None,
-    refine_steps: int = 0,
-) -> dict:
-    """Sampled lower estimate of |P| plus a certificate-side bound check.
-
-    poly_norm_est is the max of |P(f)| over random unit-norm probes (a
-    lower bound, optionally sharpened by seeded perturbation ascent;
-    exact norms of multilinear forms are out of reach). The bound check
-    builds random decompositions a = sum_j a_j^n and asserts
-    |L(a)| <= poly_norm_upper * sum_j |a_j|^n with a supplied upper
-    estimate or the exact dual bound on L as fallback.
-    """
-    domain = P.domain
-    rng = np.random.default_rng(seed)
-
-    def domain_norm(x):
-        if which == "l1":
-            return domain.norm(x)
-        return banach_norm(AlgElement(domain.group, x), which, p=p, registry=domain.registry)
-
-    def unit(x):
-        nrm = domain_norm(x)
-        return x if nrm == 0 else x / nrm
-
-    best = 0.0
-    best_x = None
-    for _ in range(samples):
-        x = unit(domain.random(rng))
-        value = float(np.linalg.norm(P(x)))
-        if value > best:
-            best, best_x = value, x
-    step = 0.5
-    for _ in range(refine_steps):
-        if best_x is None:
-            break
-        candidate = unit(best_x + step * domain.random(rng))
-        value = float(np.linalg.norm(P(candidate)))
-        if value > best:
-            best, best_x = value, candidate
-        else:
-            step *= 0.97
-
-    upper = poly_norm_upper if poly_norm_upper is not None else _dual_upper_bound(L)
-    rows = []
-    all_ok = True
-    for _ in range(cert_samples):
-        parts = [domain.random(rng) for _ in range(parts_per_cert)]
-        target = np.zeros(domain.dim, dtype=np.complex128)
-        for part in parts:
-            target += domain.product_power(part, P.degree)
-        bound = sum(domain_norm(part) ** P.degree for part in parts)
-        value = float(np.linalg.norm(L(target)))
-        ok = value <= upper * bound + 1e-9
-        all_ok = all_ok and ok
-        rows.append({"phi_value": value, "bound": float(upper * bound), "pass": ok})
-    return {
-        "poly_norm_est": best,
-        "poly_norm_upper": float(upper),
-        "upper_source": "supplied" if poly_norm_upper is not None else "dual",
-        "bound_rows": rows,
-        "bound_check": all_ok,
-        "norm": which if p is None else f"{which}:{p}",
-        "samples": samples,
     }

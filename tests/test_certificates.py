@@ -8,12 +8,10 @@ from oapoly import (
     builtin_group_by_name,
     central_idempotent,
     chain_check,
-    concat_certificates,
     delta_identity,
     l1_norm,
     pn_bound,
     random_element,
-    scale_certificate,
     sn_bound,
     verify_certificate,
     zero_element,
@@ -94,7 +92,7 @@ def test_pn_bound_verifies_cheapest_first_and_stops(name, monkeypatch):
     for per_ideal in (False, True):
         parts = tuple(_block_root_parts(a, n, registry, per_ideal))
         bound = float(sum(l1_norm(p) ** n for p in parts))
-        candidates.append(PnCertificate(a, parts, n, "l1", bound))
+        candidates.append(PnCertificate(a, parts, n, bound))
     passed = [verify_certificate(c).passed for c in candidates]
     best = min((c for c, ok in zip(candidates, passed) if ok), key=lambda c: c.claimed_bound)
     ranked = sorted(range(len(candidates)), key=lambda i: candidates[i].claimed_bound)
@@ -126,8 +124,8 @@ def test_pn_bound_refinement_verifies_each_candidate_at_most_once(name, monkeypa
     for per_ideal in (False, True):
         parts = tuple(_block_root_parts(a, n, registry, per_ideal))
         bound = float(sum(l1_norm(p) ** n for p in parts))
-        candidates.append(PnCertificate(a, parts, n, "l1", bound))
-    refined = certificates._refine_by_central_units(a, n, registry, "l1", steps, seed)
+        candidates.append(PnCertificate(a, parts, n, bound))
+    refined = certificates._refine_by_central_units(a, n, registry, steps, seed)
     assert refined and all(
         later.claimed_bound < earlier.claimed_bound for earlier, later in zip(refined, refined[1:])
     )
@@ -164,9 +162,7 @@ def test_verify_certificate_detects_missing_part():
     a = random_element(group, np.random.default_rng(2))
     cert = pn_bound(a, 2, registry).certificate
     assert len(cert.parts) > 1
-    broken = PnCertificate(
-        cert.target, cert.parts[1:], cert.degree, cert.norm, cert.claimed_bound
-    )
+    broken = PnCertificate(cert.target, cert.parts[1:], cert.degree, cert.claimed_bound)
     report = verify_certificate(broken)
     assert not report.passed
     assert report.reconstruction_residual > 1e-6
@@ -180,7 +176,7 @@ def test_hand_built_block_certificate_in_s3():
     part1 = block_element(registry, index, np.diag([1.0, 0.0]))
     part2 = block_element(registry, index, np.diag([0.0, 1.0]))
     bound = l1_norm(part1) ** 2 + l1_norm(part2) ** 2
-    cert = PnCertificate(e, (part1, part2), 2, "l1", bound)
+    cert = PnCertificate(e, (part1, part2), 2, bound)
     assert verify_certificate(cert).passed
 
 
@@ -227,29 +223,13 @@ def test_pn_from_sn_respects_polarization_slack():
 
 
 def test_certificate_scaling_homogeneity():
-    group, registry = builtin_group_by_name("z6")
+    group, _ = builtin_group_by_name("z6")
     a = random_element(group, np.random.default_rng(5))
     lam = -2.0 + 1.5j
-    for cert in (sn_bound(a, 2).certificate, pn_bound(a, 2, registry).certificate):
-        scaled = scale_certificate(cert, lam)
-        assert verify_certificate(scaled).passed
-        assert abs(scaled.claimed_bound - abs(lam) * cert.claimed_bound) <= 1e-9
     # without special routes, the pn upper itself scales exactly
     plain = pn_bound(a, 2)
     scaled = pn_bound(lam * a, 2)
     assert abs(scaled.upper - abs(lam) * plain.upper) <= 1e-9
-
-
-def test_certificate_concatenation_triangle():
-    group, registry = builtin_group_by_name("s3")
-    rng = np.random.default_rng(6)
-    a, b = random_element(group, rng), random_element(group, rng)
-    ca = pn_bound(a, 2, registry).certificate
-    cb = pn_bound(b, 2, registry).certificate
-    combined = concat_certificates(ca, cb)
-    assert verify_certificate(combined).passed
-    assert abs(combined.claimed_bound - (ca.claimed_bound + cb.claimed_bound)) <= 1e-12
-    np.testing.assert_allclose(combined.target.values, (a + b).values, atol=0)
 
 
 def test_pn_refinement_never_worse():
@@ -271,3 +251,13 @@ def test_certificate_json_round_trip():
         loaded = certificate_from_json(doc, group)
         assert verify_certificate(loaded).passed
         assert abs(loaded.claimed_bound - cert.claimed_bound) <= 1e-15
+
+
+def test_certificate_json_takes_only_the_l1_norm():
+    group, registry = builtin_group_by_name("q8")
+    a = random_element(group, np.random.default_rng(3))
+    doc = certificate_to_json(pn_bound(a, 2, registry).certificate)
+    assert doc["norm"] == "l1"
+    for other in ("linf", "lp:2", "lp", None):
+        with pytest.raises(ValueError, match="norm"):
+            certificate_from_json(dict(doc, norm=other), group)

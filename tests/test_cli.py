@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oapoly.cli as cli
+import oapoly.represent as represent
 from oapoly import (
     GroupAlgebra,
     HomPoly,
@@ -11,9 +12,12 @@ from oapoly import (
     builtin_group_by_name,
     polarize,
     random_element,
+    validate_irreps,
+    verify_representation,
 )
 from oapoly.cli import main
 from oapoly.fourier import element_to_json
+from oapoly.groups import group_to_json
 from oapoly.jsonio import canonical_dumps
 from oapoly.polynomials import poly_to_json, tensor_of
 
@@ -292,3 +296,78 @@ def test_env_seed_fallback(monkeypatch, capsys):
     code, out = run(parser_args, capsys)
     assert code == 0
     assert json.loads(out)["seed"] == 42
+
+
+@pytest.mark.parametrize(
+    "values, named", [(5, "got 5"), ([5], "got 5"), (None, "got None")], ids=["5", "[5]", "null"]
+)
+def test_malformed_values_are_usage_errors(values, named, tmp_path, capsys):
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps({"group": "s3", "values": values}))
+    code = main(["norms", "certify", "--group", "s3", "--input", str(path), "--n", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and named in err
+
+
+@pytest.fixture()
+def corrupted_s3_file(tmp_path):
+    """s3 with one entry of the std2 matrix of element 1 set to 5."""
+    doc = group_to_json(*builtin_group_by_name("s3"))
+    std2 = next(entry for entry in doc["irreps"] if entry["label"] == "std2")
+    std2["matrices"][1][0][0] = [5.0, 0.0]
+    path = tmp_path / "s3_corrupt.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_corrupted_group_file_is_rejected(corrupted_s3_file, s3_files, capsys):
+    for argv in (
+        ["fourier", "transform", "--input", s3_files["element"]],
+        ["norms", "certify", "--input", s3_files["element"], "--n", "2"],
+    ):
+        code, out = run(argv + ["--group-file", corrupted_s3_file], capsys)
+        assert code == 2 and out == ""
+
+
+def test_group_file_with_out_of_range_product_is_rejected(tmp_path, s3_files, capsys):
+    doc = group_to_json(*builtin_group_by_name("s3"))
+    doc["mult"][1][2] = 99
+    path = tmp_path / "s3_bad_mult.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["group", "validate", "--group-file", str(path)], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False and "irreps" not in report
+    argv = ["norms", "certify", "--group-file", str(path), "--input", s3_files["element"], "--n", "2"]
+    assert run(argv, capsys) == (2, "")
+
+
+def test_group_validate_reports_a_corrupted_file_once(corrupted_s3_file, monkeypatch, capsys):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return validate_irreps(*args)
+
+    monkeypatch.setattr(cli, "validate_irreps", counting)
+    code, out = run(["group", "validate", "--group-file", corrupted_s3_file], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert report["table"]["ok"] is True and report["irreps"]["ok"] is False
+    assert len(calls) == 1
+
+
+def test_represent_extract_verifies_its_probes_once(s3_files, monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return verify_representation(*args, **kwargs)
+
+    monkeypatch.setattr(represent, "verify_representation", counting)
+    argv = ["represent", "extract", "--group", "s3", "--poly", s3_files["good"], "--seed", "7"]
+    code, out = run(argv, capsys)
+    assert code == 0 and len(calls) == 1
+    assert calls[0]["seed"] == 8 and calls[0]["samples"] == 200
+    doc = json.loads(out)
+    assert doc["verify"]["samples"] == 200 and doc["verify"]["pass"] is True

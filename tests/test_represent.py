@@ -12,7 +12,6 @@ from oapoly import (
     MatrixAlgebra,
     VerificationFailure,
     builtin_group_by_name,
-    estimate_norms,
     phi_group,
     phi_group_blockwise,
     phi_matrix_algebra,
@@ -195,52 +194,6 @@ def test_span_check_memory_stays_bounded():
         tracemalloc.stop()
     assert report["pass"]
     assert peak < 64 * 2**20
-
-
-def test_estimate_norms_zero_polynomial():
-    group, registry = builtin_group_by_name("z4")
-    domain = GroupAlgebra(group, registry)
-    P = HomPoly.prototypical(np.zeros((1, 4)), 2, domain)
-    L = LinearMap(domain, 1, np.zeros((1, 4)))
-    report = estimate_norms(P, L, samples=50, seed=0)
-    assert report["poly_norm_est"] == 0.0
-    assert report["bound_check"]
-
-
-def test_estimate_norms_trace_square():
-    domain = MatrixAlgebra(2)
-    P = trace_square_poly(domain)
-    L = phi_matrix_algebra(P)
-    report = estimate_norms(P, L, samples=300, seed=1)
-    # |trace(a^2)| <= 2 on the spectral-norm unit ball, attained at I
-    assert report["poly_norm_est"] <= 2.0 + 1e-9
-    assert report["poly_norm_est"] >= 1.0  # trace pairings of unit matrices reach this
-    assert abs(report["poly_norm_upper"] - 2.0) <= 1e-12  # nuclear norm of I
-    assert report["bound_check"]
-
-
-def test_estimate_norms_scaling_is_exact():
-    group, registry = builtin_group_by_name("z6")
-    domain = GroupAlgebra(group, registry)
-    rng = np.random.default_rng(2)
-    linear = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
-    P = HomPoly.prototypical(linear, 2, domain)
-    L = phi_group(P, seed=3)
-    scaled = HomPoly.prototypical(5.0 * linear, 2, domain)
-    Ls = LinearMap(domain, 1, 5.0 * L.matrix)
-    base = estimate_norms(P, L, samples=100, seed=4)
-    times5 = estimate_norms(scaled, Ls, samples=100, seed=4)
-    np.testing.assert_allclose(times5["poly_norm_est"], 5.0 * base["poly_norm_est"], rtol=1e-12)
-
-
-def test_estimate_norms_refinement_does_not_regress():
-    domain = MatrixAlgebra(2)
-    P = trace_square_poly(domain)
-    L = phi_matrix_algebra(P)
-    plain = estimate_norms(P, L, samples=50, seed=5)
-    refined = estimate_norms(P, L, samples=50, seed=5, refine_steps=200)
-    assert refined["poly_norm_est"] >= plain["poly_norm_est"] - 1e-15
-    assert refined["poly_norm_est"] <= 2.0 + 1e-9
 
 
 def test_linear_map_json_round_trip():
