@@ -52,7 +52,6 @@ from .represent import (
     LinearMap,
     phi_group,
     phi_group_blockwise,
-    phi_matrix_algebra,
     span_check,
     verify_representation,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,6 +90,8 @@ class NormBound:
     lower: float
     upper: float
     certificate: PnCertificate | SnCertificate
+    # the passing verify_certificate report of the certificate pn_bound chose
+    verification: CertificateReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-12:
@@ -218,36 +220,34 @@ def pn_bound(
     convolution-idempotent, and, when a registry is supplied, principal
     n-th roots of the Fourier blocks (both as one global part and one
     part per ideal). Optional refinement perturbs the symmetrized side
-    by central units, accepting improvements; off by default.
+    by central units, accepting improvements; off by default. The zero
+    element gets the empty certificate. The returned bound carries the
+    chosen certificate's report as ``verification``.
     """
     lower = l1_norm(a)
-    candidates: list[PnCertificate] = []
-
     if np.abs(a.values).max() == 0.0:
-        cert = PnCertificate(a, (), n, 0.0)
-        return NormBound(0.0, 0.0, cert)
+        candidates = [PnCertificate(a, (), n, 0.0)]
+    else:
+        candidates = [pn_from_sn(sn_bound(a, n).certificate)]
+        if _is_idempotent(a):
+            candidates.append(PnCertificate(a, (a,), n, l1_norm(a) ** n))
+        if registry is not None and registry.is_complete():
+            for per_ideal in (False, True):
+                parts = _block_root_parts(a, n, registry, per_ideal)
+                if parts is None:
+                    continue
+                bound = float(sum(l1_norm(p) ** n for p in parts))
+                candidates.append(PnCertificate(a, tuple(parts), n, bound))
+            if refine_steps > 0:
+                candidates.extend(_refine_by_central_units(a, n, registry, refine_steps, seed))
 
-    base = pn_from_sn(sn_bound(a, n).certificate)
-    candidates.append(base)
-
-    if _is_idempotent(a):
-        candidates.append(PnCertificate(a, (a,), n, l1_norm(a) ** n))
-
-    if registry is not None and registry.is_complete():
-        for per_ideal in (False, True):
-            parts = _block_root_parts(a, n, registry, per_ideal)
-            if parts is None:
-                continue
-            bound = float(sum(l1_norm(p) ** n for p in parts))
-            candidates.append(PnCertificate(a, tuple(parts), n, bound))
-
-        if refine_steps > 0:
-            candidates.extend(_refine_by_central_units(a, n, registry, refine_steps, seed))
-
-    # cheapest first, stable on ties; the first that verifies is kept
+    # cheapest first, stable on ties; the first that verifies is kept, with its report
     for cert in sorted(candidates, key=lambda c: c.claimed_bound):
-        if verify_certificate(cert).passed:
-            return NormBound(lower=lower, upper=cert.claimed_bound, certificate=cert)
+        report = verify_certificate(cert)
+        if report.passed:
+            bound = NormBound(lower=lower, upper=cert.claimed_bound, certificate=cert)
+            object.__setattr__(bound, "verification", report)
+            return bound
     raise ValueError("no candidate power certificate verifies")
 
 

@@ -25,12 +25,8 @@ from .groups import (
     validate_group,
     validate_irreps,
 )
-from .jsonio import canonical_dumps, rows_to_csv
-from .polynomials import (
-    check_orthogonal_additivity,
-    orthogonal_pairs,
-    poly_from_json,
-)
+from .jsonio import canonical_dumps, json_field, int_array, require_object, rows_to_csv
+from .polynomials import check_orthogonal_additivity, orthogonal_pairs, poly_from_json
 from .represent import linear_map_from_json, linear_map_to_json
 from .selftest import run_selftest
 
@@ -67,7 +63,7 @@ def _positive_int_list(text: str) -> list[int]:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return require_object(json.load(handle), f"file {path}")
 
 
 def _load_group(args):
@@ -101,20 +97,20 @@ def _resolve_group(args):
     return group, registry
 
 
-def _resolve_domain(doc_domain: dict, args):
+def _resolve_domain(doc: dict, args):
+    doc_domain = json_field(doc, "domain", dict, "polynomial")
     kind = doc_domain.get("type")
     if kind == "matrix":
-        return MatrixAlgebra(int(doc_domain["k"]))
+        return MatrixAlgebra(json_field(doc_domain, "k", int, "domain"))
     if kind == "trig":
-        return PointwiseAlgebra(tuple(doc_domain["support"]))
+        return PointwiseAlgebra(tuple(int_array(doc_domain["support"], "the support", 1)))
     if kind == "group":
+        name = json_field(doc_domain, "name", str, "domain")
         if getattr(args, "group", None) is None and getattr(args, "group_file", None) is None:
-            args.group = str(doc_domain["name"])
+            args.group = name
         group, registry = _resolve_group(args)
-        if group.name != str(doc_domain["name"]):
-            raise OapolyError(
-                f"polynomial is over group {doc_domain['name']!r}, got {group.name!r}"
-            )
+        if group.name != name:
+            raise OapolyError(f"polynomial is over group {name!r}, got {group.name!r}")
         return GroupAlgebra(group, registry)
     raise OapolyError(f"unknown domain descriptor {doc_domain!r}")
 
@@ -175,7 +171,7 @@ def _cmd_fourier_transform(args) -> int:
 
 def _cmd_oadd_check(args) -> int:
     doc = _load_json(args.poly)
-    domain = _resolve_domain(doc["domain"], args)
+    domain = _resolve_domain(doc, args)
     poly = poly_from_json(doc, domain)
     pairs = orthogonal_pairs(domain, args.pairs, args.seed)
     report = check_orthogonal_additivity(poly, pairs, tol=args.tol)
@@ -185,29 +181,31 @@ def _cmd_oadd_check(args) -> int:
 
 def _cmd_represent_extract(args) -> int:
     doc = _load_json(args.poly)
-    domain = _resolve_domain(doc["domain"], args)
+    domain = _resolve_domain(doc, args)
     poly = poly_from_json(doc, domain)
+    # on a group algebra the artifact also carries the `oadd check` report;
+    # it informs, the probe gate of the extraction decides
+    oadd = {}
+    if isinstance(domain, GroupAlgebra):
+        pairs = orthogonal_pairs(domain, args.pairs, args.seed)
+        oadd["oadd"] = check_orthogonal_additivity(poly, pairs, tol=args.tol).to_dict()
     try:
-        common = {"seed": args.seed, "verify_samples": args.samples, "tol": args.tol}
-        if isinstance(domain, MatrixAlgebra):
-            linear = represent.phi_matrix_algebra(poly, **common)
-        else:
-            linear = represent.phi_group(poly, pair_count=args.pairs, **common)
+        linear = represent.phi_group(poly, seed=args.seed, verify_samples=args.samples, tol=args.tol)
     except (VerificationFailure, HomogeneityViolation) as exc:
-        payload = {"pass": False, "error": str(exc)}
+        payload = {"pass": False, "error": str(exc), **oadd}
         if isinstance(exc, VerificationFailure) and exc.max_residual is not None:
             payload["max_residual"] = exc.max_residual
         _emit(args, payload)
         return 1
     verify = linear.verification
-    payload = {"phi": linear_map_to_json(linear), "verify": verify, "pass": verify["pass"]}
+    payload = {"phi": linear_map_to_json(linear), "verify": verify, "pass": verify["pass"], **oadd}
     _emit(args, payload)
     return 0 if verify["pass"] else 1
 
 
 def _cmd_represent_verify(args) -> int:
     doc = _load_json(args.poly)
-    domain = _resolve_domain(doc["domain"], args)
+    domain = _resolve_domain(doc, args)
     poly = poly_from_json(doc, domain)
     phi_doc = _load_json(args.phi)
     if "matrix" not in phi_doc and "phi" in phi_doc:
@@ -225,8 +223,7 @@ def _cmd_norms_certify(args) -> int:
     element = element_from_json(_load_json(args.input), group)
     sn = certificates.sn_bound(element, args.n)
     pn = certificates.pn_bound(element, args.n, registry, refine_steps=args.refine, seed=args.seed)
-    sn_check = certificates.verify_certificate(sn.certificate)
-    pn_check = certificates.verify_certificate(pn.certificate)
+    sn_check, pn_check = certificates.verify_certificate(sn.certificate), pn.verification
     payload = {
         "sn": certificates.normbound_to_json(sn),
         "pn": certificates.normbound_to_json(pn),

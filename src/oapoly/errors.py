@@ -32,10 +32,9 @@ class HomogeneityViolation(OapolyError):
 class VerificationFailure(OapolyError):
     """An extracted representing map failed probe verification."""
 
-    def __init__(self, message, max_residual=None, precheck=None):
+    def __init__(self, message, max_residual=None):
         super().__init__(message)
         self.max_residual = max_residual
-        self.precheck = precheck
 
 
 class NotOrthogonal(OapolyError):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BadExponent, GroupMismatch, IncompleteRegistry
 from .groups import GroupTable, Irrep, IrrepRegistry
-from .jsonio import pairs_to_vector, matrix_to_pairs, vector_to_pairs
+from .jsonio import pairs_to_vector, matrix_to_pairs, require_object, vector_to_pairs
 
 # Largest gathered chunk of a batched convolution, in bytes.
 _CHUNK_BYTES = 32 << 20
@@ -263,7 +263,7 @@ def element_to_json(f: AlgElement) -> dict:
 
 
 def element_from_json(doc: dict, group: GroupTable) -> AlgElement:
-    if str(doc.get("group")) != group.name:
+    if str(require_object(doc, "element").get("group")) != group.name:
         raise GroupMismatch(
             f"element file names group {doc.get('group')!r}, expected {group.name!r}"
         )

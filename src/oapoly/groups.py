@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, IncompleteRegistry, UnsupportedGroup
-from .jsonio import matrix_to_pairs, pairs_to_matrix
+from .jsonio import json_field, int_array, matrix_to_pairs, pairs_to_matrix, require_object
 
 MAX_ORDER = 512
 
@@ -536,17 +536,21 @@ def group_to_json(g: GroupTable, registry: IrrepRegistry | None = None) -> dict:
 
 def group_from_json(doc: dict) -> tuple[GroupTable, IrrepRegistry | None]:
     g = GroupTable(
-        name=str(doc["name"]),
-        order=int(doc["order"]),
-        mult=np.array(doc["mult"]),
-        inv=np.array(doc["inv"]),
-        identity=int(doc["identity"]),
+        name=json_field(doc, "name", str, "group"),
+        order=json_field(doc, "order", int, "group"),
+        mult=int_array(doc["mult"], "the mult table", 2),
+        inv=int_array(doc["inv"], "the inv table", 1),
+        identity=json_field(doc, "identity", int, "group"),
     )
     registry = None
     if "irreps" in doc:
         irreps = []
-        for entry in doc["irreps"]:
-            mats = np.array([pairs_to_matrix(m) for m in entry["matrices"]])
-            irreps.append(Irrep(label=str(entry["label"]), dim=int(entry["dim"]), matrices=mats))
+        for entry in json_field(doc, "irreps", list, "group"):
+            label = str(require_object(entry, "irrep")["label"])
+            dim = json_field(entry, "dim", int, "irrep")
+            mats = [pairs_to_matrix(m) for m in json_field(entry, "matrices", list, "irrep")]
+            if any(m.shape != (dim, dim) for m in mats):
+                raise DimensionMismatch(f"irrep {label!r}: matrices are not {dim} x {dim}")
+            irreps.append(Irrep(label=label, dim=dim, matrices=np.array(mats)))
         registry = IrrepRegistry(group=g, irreps=tuple(irreps))
     return g, registry

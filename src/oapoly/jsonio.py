@@ -2,8 +2,9 @@
 
 Canonical output is byte-deterministic: object keys sorted, floats
 printed with 17 significant digits, no whitespace surprises. Complex
-numbers travel as [re, im] pairs everywhere in the file formats; the
-pair loaders raise ValueError naming any value that is not one.
+numbers travel as [re, im] pairs everywhere in the file formats. The
+loaders here (pairs, typed fields, integer tables) raise ValueError
+naming any value of the wrong type or shape.
 """
 
 from __future__ import annotations
@@ -78,6 +79,32 @@ def _require_list(value, what: str) -> list:
     return value
 
 
+def require_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object for the {what}, got {value!r:.80}")
+    return value
+
+
+def json_field(doc, key: str, kind: type, what: str):
+    """doc[key] of the JSON object doc, which must be a `kind` (an int is
+    not a bool); the ValueError otherwise names the field and the value."""
+    value = require_object(doc, what)[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} field {key!r} must be a JSON {kind.__name__}, got {value!r:.80}")
+    return value
+
+
+def int_array(value, what: str, ndim: int) -> np.ndarray:
+    """A rectangular list of integers nested ndim deep, as an int64 array."""
+    try:
+        array = np.array(_require_list(value, what), dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is None or array.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array of integers for {what}, got {value!r:.80}")
+    return array
+
+
 def vector_to_pairs(values) -> list[list[float]]:
     return [complex_to_pair(z) for z in np.asarray(values).ravel()]
 
@@ -94,13 +121,11 @@ def matrix_to_pairs(mat) -> list[list[list[float]]]:
 
 
 def pairs_to_matrix(rows) -> np.ndarray:
-    return np.array(
-        [
-            [pair_to_complex(p) for p in _require_list(row, "[re, im] pairs")]
-            for row in _require_list(rows, "rows of [re, im] pairs")
-        ],
-        dtype=np.complex128,
-    )
+    rows = _require_list(rows, "rows of [re, im] pairs")
+    matrix = [[pair_to_complex(p) for p in _require_list(row, "[re, im] pairs")] for row in rows]
+    if len({len(row) for row in matrix}) > 1:
+        raise ValueError(f"matrix rows differ in length: {rows!r:.80}")
+    return np.array(matrix, dtype=np.complex128)
 
 
 def rows_to_csv(rows: list[dict], fieldnames: list[str]) -> str:

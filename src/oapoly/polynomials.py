@@ -26,7 +26,7 @@ import numpy as np
 from .domains import AlgebraDomain, GroupAlgebra, MatrixAlgebra, PointwiseAlgebra
 from .errors import GroupMismatch, HomogeneityViolation, NotOrthogonal
 from .fourier import AlgElement, block_element
-from .jsonio import pair_to_complex, complex_to_pair
+from .jsonio import complex_to_pair, json_field, pair_to_complex, pairs_to_vector
 
 MAX_DEGREE = 6  # polarization costs 2^n evaluations per tuple
 
@@ -75,8 +75,11 @@ class HomPoly:
         weights = np.zeros((len(tensor), codomain_dim), dtype=np.complex128)
         for row, (index, value) in enumerate(tensor.items()):
             index = tuple(int(i) for i in index)
-            if list(index) != sorted(index) or len(index) != degree:
-                raise ValueError(f"tensor multi-index {index} not sorted of length {degree}")
+            in_range = len(index) == degree and index[0] >= 0 and index[-1] < domain.dim
+            if not in_range or list(index) != sorted(index):
+                raise ValueError(
+                    f"tensor multi-index {index} not sorted of length {degree} in range({domain.dim})"
+                )
             idx[row] = index
             weights[row] = _distinct_permutations(index) * np.asarray(
                 value, dtype=np.complex128
@@ -389,13 +392,13 @@ def poly_to_json(P: HomPoly) -> dict:
 
 
 def poly_from_json(doc: dict, domain: AlgebraDomain) -> HomPoly:
-    degree = int(doc["degree"])
-    codomain_dim = int(doc["codomain_dim"])
+    degree = json_field(doc, "degree", int, "polynomial")
+    codomain_dim = json_field(doc, "codomain_dim", int, "polynomial")
     tensor = {}
-    for key, value in doc["tensor"].items():
+    for key, value in json_field(doc, "tensor", dict, "polynomial").items():
         index = tuple(int(part) for part in key.split(","))
         if codomain_dim == 1:
             tensor[index] = np.array([pair_to_complex(value)])
         else:
-            tensor[index] = np.array([pair_to_complex(p) for p in value])
+            tensor[index] = pairs_to_vector(value)
     return HomPoly.from_tensor(degree, domain, codomain_dim, tensor)

@@ -7,15 +7,17 @@ L(a) = phi(a, u, ..., u) whenever u is a unit for a, with phi the
 polarization of P. Every route reads phi(d, u, ..., u) off n + 1
 evaluations of P on the line u + s d (see ``_unit_slot``):
 
-* matrix algebras: u the identity, d the matrix units;
-* group algebras, the unit slot: u = delta, d the point masses;
+* the unit slot, on any unital domain: u the unit, d the basis scaled
+  by the largest entry of u (the point masses delta_t of a group
+  algebra, the matrix units of a matrix algebra);
 * group algebras, the paper's central-idempotent route: on each
   minimal ideal u = e_pi = dim_pi * chi_pi and d its matrix units,
   mapped back to the group basis by the Fourier analysis operator.
 
 The two group routes evaluate P at different points, so their agreement
-is a check. Extraction is probe-verified and raises VerificationFailure
-when the input was not orthogonally additive.
+is a check. Extraction is probe-verified against P(f) = L(f^n), the one
+gate, and raises VerificationFailure when the input was not
+orthogonally additive.
 """
 
 from __future__ import annotations
@@ -24,17 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import AlgebraDomain, GroupAlgebra, MatrixAlgebra
+from .domains import AlgebraDomain, GroupAlgebra
 from .errors import VerificationFailure
 from .fourier import central_idempotent
 from .groups import GroupTable
-from .jsonio import matrix_to_pairs, pairs_to_matrix
-from .polynomials import (
-    HomPoly,
-    check_homogeneity,
-    check_orthogonal_additivity,
-    orthogonal_pairs,
-)
+from .jsonio import json_field, matrix_to_pairs, pairs_to_matrix
+from .polynomials import HomPoly, check_homogeneity
 
 # span_check counts singular values above this fraction of the largest
 SPAN_THRESHOLD = 1e-8
@@ -72,10 +69,11 @@ def linear_map_to_json(L: LinearMap) -> dict:
 
 
 def linear_map_from_json(doc: dict, domain: AlgebraDomain) -> LinearMap:
-    return LinearMap(domain, int(doc["codomain_dim"]), pairs_to_matrix(doc["matrix"]))
+    codomain_dim = json_field(doc, "codomain_dim", int, "linear map")
+    return LinearMap(domain, codomain_dim, pairs_to_matrix(doc["matrix"]))
 
 
-def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol, precheck=None) -> LinearMap:
+def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol) -> LinearMap:
     """Return L, carrying its :func:`verify_representation` report as
     ``L.verification``, when it passes; else raise."""
     report = verify_representation(P, L, samples=samples, seed=seed, tol=tol)
@@ -85,7 +83,6 @@ def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol, precheck=None) -
             f"(max relative residual {report['max_residual']:.3e}); "
             "the polynomial is not orthogonally additive in standard form",
             max_residual=report["max_residual"],
-            precheck=precheck,
         )
     object.__setattr__(L, "verification", report)
     return L
@@ -105,51 +102,25 @@ def _unit_slot(P: HomPoly, unit: np.ndarray, directions: np.ndarray) -> np.ndarr
     return np.stack(columns, axis=1) / (n * (n + 1))
 
 
-def phi_matrix_algebra(
+def phi_group(
     P: HomPoly, seed: int = 0, verify_samples: int = 200, tol: float = 1e-9
 ) -> LinearMap:
-    """Representing map on a full matrix algebra: L(a) = phi(a, e, ..., e)."""
-    domain = P.domain
-    if not isinstance(domain, MatrixAlgebra):
-        raise ValueError("phi_matrix_algebra needs a MatrixAlgebra domain")
-    check_homogeneity(P, np.random.default_rng(seed))
-    basis = np.eye(domain.dim, dtype=np.complex128)
-    L = LinearMap(domain, P.codomain_dim, _unit_slot(P, domain.one(), basis))
-    return _probe_verify(P, L, verify_samples, seed + 1, tol)
+    """Representing map through the unit slot, on any unital domain:
+    L(b) = phi(s b, u, ..., u) / s for each basis vector b, with u the
+    unit and s = max|u| its largest entry. On a group algebra u = delta
+    and s b = delta_t = N e_t, the point mass of mass one; on a matrix
+    algebra u is the identity and s = 1.
 
-
-def phi_group(
-    P: HomPoly,
-    pair_count: int = 120,
-    verify_samples: int = 200,
-    seed: int = 0,
-    tol: float = 1e-9,
-    precheck: bool = True,
-) -> LinearMap:
-    """Representing map on a group algebra through the unit slot:
-    L(e_t) = phi(delta_t, delta, ..., delta) / N with delta_t = N e_t
-    the point mass of mass one.
-
-    Orthogonal additivity is first certified on a generated pair suite;
-    extraction then proceeds unconditionally and the result is
-    probe-verified, so a polynomial without a standard form surfaces as
-    VerificationFailure rather than a silently wrong map.
+    The result is probe-verified, so a polynomial without a standard
+    form surfaces as VerificationFailure rather than a silently wrong map.
     """
     domain = P.domain
-    if not isinstance(domain, GroupAlgebra):
-        raise ValueError("phi_group needs a GroupAlgebra domain")
-    domain.require_registry()
-
-    precheck_report = None
-    if precheck:
-        pairs = orthogonal_pairs(domain, pair_count, seed)
-        precheck_report = check_orthogonal_additivity(P, pairs, tol=max(tol, 1e-9))
-
     check_homogeneity(P, np.random.default_rng(seed))
-    order = domain.dim
-    matrix = _unit_slot(P, domain.one(), order * np.eye(order, dtype=np.complex128)) / order
+    unit = domain.one()
+    scale = float(np.abs(unit).max())
+    matrix = _unit_slot(P, unit, scale * np.eye(domain.dim, dtype=np.complex128)) / scale
     L = LinearMap(domain, P.codomain_dim, matrix)
-    return _probe_verify(P, L, verify_samples, seed + 1, tol, precheck=precheck_report)
+    return _probe_verify(P, L, verify_samples, seed + 1, tol)
 
 
 def phi_group_blockwise(

@@ -121,7 +121,7 @@ def _represent_suite(seed_seq) -> dict:
         linear = rng.standard_normal((1, group.order)) + 1j * rng.standard_normal((1, group.order))
         P = HomPoly.prototypical(linear, 2, domain)
         seed = int(rng.integers(2**31))
-        recovered = represent.phi_group(P, pair_count=40, verify_samples=40, seed=seed)
+        recovered = represent.phi_group(P, seed=seed, verify_samples=40)
         error = float(np.abs(recovered.matrix - linear).max())
         span = represent.span_check(group, 2, seed=seed)
         entry = {"recovery_error": error, "span_rank": span["rank"], "span_pass": span["pass"]}
@@ -135,7 +135,7 @@ def _represent_suite(seed_seq) -> dict:
     domain = GroupAlgebra(group, registry)
     linear = rng.standard_normal((1, group.order)) + 1j * rng.standard_normal((1, group.order))
     P = HomPoly.prototypical(linear, 3, domain)
-    direct = represent.phi_group(P, pair_count=40, verify_samples=40, seed=11)
+    direct = represent.phi_group(P, seed=11, verify_samples=40)
     blockwise = represent.phi_group_blockwise(P, seed=11, verify_samples=20)
     agreement = float(np.abs(direct.matrix - blockwise.matrix).max())
     out["path_agreement"] = agreement
@@ -161,7 +161,7 @@ def _certificate_suite(seed_seq) -> dict:
                 chain = certificates.chain_check(a, n, registry)
                 chain_ok = chain_ok and chain["pass"]
                 pn = certificates.pn_bound(a, n, registry)
-                certs_ok = certs_ok and certificates.verify_certificate(pn.certificate).passed
+                certs_ok = certs_ok and pn.verification.passed
                 certs_ok = certs_ok and certificates.verify_certificate(sn.certificate).passed
         idem = delta_identity(group)
         pn_delta = certificates.pn_bound(idem, 3, registry)

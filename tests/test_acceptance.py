@@ -67,7 +67,7 @@ def test_criterion_1_representation_round_trip():
                 )
                 P = HomPoly.prototypical(linear, n, domain)
                 seed = 7 * trial + n
-                recovered = phi_group(P, pair_count=40, verify_samples=50, seed=seed)
+                recovered = phi_group(P, seed=seed, verify_samples=50)
                 worst_recovery = max(
                     worst_recovery, float(np.abs(recovered.matrix - linear).max())
                 )
@@ -94,7 +94,7 @@ def test_criterion_2_path_agreement():
                 (1, group.order)
             )
             P = HomPoly.prototypical(linear, n, domain)
-            direct = phi_group(P, pair_count=40, verify_samples=30, seed=trial)
+            direct = phi_group(P, seed=trial, verify_samples=30)
             blockwise = phi_group_blockwise(P, seed=trial, verify_samples=10)
             worst = max(worst, float(np.abs(direct.matrix - blockwise.matrix).max()))
     assert worst <= 1e-10, worst

@@ -157,6 +157,14 @@ def test_pn_bound_zero_element():
     assert bound.lower == bound.upper == 0.0
 
 
+def test_pn_bound_carries_the_report_of_its_certificate():
+    group, registry = builtin_group_by_name("s4")
+    for a in (zero_element(group), random_element(group, np.random.default_rng(9))):
+        bound = pn_bound(a, 3, registry, refine_steps=2)
+        assert bound.verification.passed
+        assert bound.verification == verify_certificate(bound.certificate)
+
+
 def test_verify_certificate_detects_missing_part():
     group, registry = builtin_group_by_name("q8")
     a = random_element(group, np.random.default_rng(2))

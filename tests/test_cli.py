@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import oapoly.certificates as certificates
 import oapoly.cli as cli
 import oapoly.represent as represent
 from oapoly import (
     GroupAlgebra,
     HomPoly,
     MatrixAlgebra,
+    PointwiseAlgebra,
     builtin_group_by_name,
     polarize,
     random_element,
@@ -132,6 +134,34 @@ def test_represent_extract_failure_artifact(s3_files, capsys):
     assert doc["pass"] is False and "max_residual" in doc
 
 
+def tensor_file(path, P):
+    """Write P as a tensor-backed polynomial file; return its path."""
+    tensor = HomPoly.from_tensor(P.degree, P.domain, P.codomain_dim, tensor_of(polarize(P)))
+    path.write_text(canonical_dumps(poly_to_json(tensor)))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def s3_cubic_file(tmp_path_factory):
+    group, registry = builtin_group_by_name("s3")
+    domain = GroupAlgebra(group, registry)
+    linear = np.random.default_rng(22).standard_normal((1, 6))
+    cubic = HomPoly.prototypical(linear, 3, domain)
+    return tensor_file(tmp_path_factory.mktemp("cubic") / "cubic.json", cubic)
+
+
+@pytest.mark.parametrize("which, code", [("cubic", 0), ("square", 1)])
+def test_represent_extract_carries_the_oadd_check_report(which, code, s3_cubic_file, s3_files, tmp_path):
+    poly = s3_cubic_file if which == "cubic" else s3_files["bad"]
+    flags = ["--poly", poly, "--pairs", "40", "--seed", "7", "--tol", "1e-9"]
+    oadd_path, extract_path = tmp_path / "oadd.json", tmp_path / "extract.json"
+    assert main(["oadd", "check", *flags, "--output", str(oadd_path)]) == code
+    assert main(["represent", "extract", "--group", "s3", *flags, "--output", str(extract_path)]) == code
+    report = json.loads(extract_path.read_text())["oadd"]
+    assert canonical_dumps(report) + "\n" == oadd_path.read_text()
+    assert report["passed"] is (code == 0) and report["pair_count"] == 40
+
+
 def test_represent_extract_honours_tol(s3_files, capsys, tmp_path):
     # an OA quadratic nudged off its standard form by 1e-7 in one entry
     doc = json.loads(open(s3_files["good"]).read())
@@ -147,13 +177,13 @@ def test_represent_extract_honours_tol(s3_files, capsys, tmp_path):
 
 def test_represent_extract_matrix_domain_honours_tol(tmp_path, capsys, monkeypatch):
     seen = []
-    extract = cli.represent.phi_matrix_algebra
+    extract = cli.represent.phi_group
 
     def spy(poly, **kwargs):
         seen.append(kwargs)
         return extract(poly, **kwargs)
 
-    monkeypatch.setattr(cli.represent, "phi_matrix_algebra", spy)
+    monkeypatch.setattr(cli.represent, "phi_group", spy)
     domain = MatrixAlgebra(2)
     k = domain.k
     trace_square = HomPoly(
@@ -172,6 +202,17 @@ def test_represent_extract_matrix_domain_honours_tol(tmp_path, capsys, monkeypat
         {"seed": 3, "verify_samples": 30, "tol": 1e-3},
         {"seed": 3, "verify_samples": 30, "tol": 1e-9},
     ]
+    assert "oadd" not in json.loads(out)  # the pair check rides only on group domains
+
+
+def test_represent_extract_on_a_pointwise_domain(tmp_path, capsys):
+    domain = PointwiseAlgebra((-1, 0, 1))
+    linear = np.array([[1.0 + 2.0j, -0.5, 3.0j]])
+    path = tensor_file(tmp_path / "trig.json", HomPoly.prototypical(linear, 3, domain))
+    code, out = run(["represent", "extract", "--poly", path, "--seed", "2"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and "oadd" not in doc
+    assert np.abs(np.array(doc["phi"]["matrix"]).view(complex)[..., 0] - linear).max() <= 1e-12
 
 
 def test_represent_extract_inhomogeneous_exits_1(s3_files, capsys, monkeypatch):
@@ -371,3 +412,24 @@ def test_represent_extract_verifies_its_probes_once(s3_files, monkeypatch, capsy
     assert calls[0]["seed"] == 8 and calls[0]["samples"] == 200
     doc = json.loads(out)
     assert doc["verify"]["samples"] == 200 and doc["verify"]["pass"] is True
+
+
+def test_norms_certify_verifies_the_chosen_power_certificate_once(s3_files, monkeypatch, capsys):
+    verified, chosen = [], []
+    verify, bound = certificates.verify_certificate, certificates.pn_bound
+
+    def counting(cert):
+        verified.append(cert)
+        return verify(cert)
+
+    def keeping(*args, **kwargs):
+        chosen.append(bound(*args, **kwargs))
+        return chosen[-1]
+
+    monkeypatch.setattr(certificates, "verify_certificate", counting)
+    monkeypatch.setattr(certificates, "pn_bound", keeping)
+    argv = ["norms", "certify", "--group", "s3", "--input", s3_files["element"], "--n", "2"]
+    code, out = run(argv + ["--refine", "2"], capsys)
+    assert code == 0
+    assert sum(cert is chosen[0].certificate for cert in verified) == 1
+    assert json.loads(out)["pn_verified"] == chosen[0].verification.to_dict()

@@ -282,6 +282,13 @@ def test_from_tensor_empty_is_zero(m):
     assert poly_to_json(P)["tensor"] == {}
 
 
+@pytest.mark.parametrize("index", [(-1, 0), (0, 4), (1, 2, 3)])
+def test_from_tensor_rejects_an_index_outside_the_domain(index):
+    # a negative index would wrap around to the last slot without the check
+    with pytest.raises(ValueError, match=r"range\(4\)"):
+        HomPoly.from_tensor(2, MatrixAlgebra(2), 1, {index: np.array([1.0])})
+
+
 def test_from_tensor_rejects_unsorted_index():
     with pytest.raises(ValueError):
         HomPoly.from_tensor(2, MatrixAlgebra(2), 1, {(2, 1): np.array([1.0])})

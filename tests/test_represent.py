@@ -10,11 +10,11 @@ from oapoly import (
     HomPoly,
     LinearMap,
     MatrixAlgebra,
+    PointwiseAlgebra,
     VerificationFailure,
     builtin_group_by_name,
     phi_group,
     phi_group_blockwise,
-    phi_matrix_algebra,
     power,
     span_check,
     verify_representation,
@@ -32,7 +32,7 @@ def trace_square_poly(domain):
 
 def test_phi_matrix_algebra_trace_square():
     domain = MatrixAlgebra(2)
-    L = phi_matrix_algebra(trace_square_poly(domain))
+    L = phi_group(trace_square_poly(domain))
     # phi(a, I) = trace(a): the matrix of the trace functional
     np.testing.assert_allclose(L.matrix, [[1, 0, 0, 1]], atol=1e-10)
 
@@ -42,7 +42,7 @@ def test_phi_matrix_algebra_recovers_random_linear():
     domain = MatrixAlgebra(3)
     linear = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
     P = HomPoly.prototypical(linear, 2, domain)
-    L = phi_matrix_algebra(P)
+    L = phi_group(P)
     assert np.abs(L.matrix - linear).max() <= 1e-10
 
 
@@ -50,7 +50,7 @@ def test_phi_matrix_algebra_rejects_trace_squared():
     domain = MatrixAlgebra(2)
     bad = HomPoly(2, domain, 1, lambda x: np.array([np.trace(x.reshape(2, 2)) ** 2]))
     with pytest.raises(VerificationFailure):
-        phi_matrix_algebra(bad)
+        phi_group(bad)
 
 
 def weighted_spectral_poly(group, registry, weights, n):
@@ -120,21 +120,6 @@ def test_phi_group_rejects_global_trace_square():
     with pytest.raises(VerificationFailure) as excinfo:
         phi_group(bad, seed=5)
     assert excinfo.value.max_residual > 0.1
-    assert excinfo.value.precheck is not None and not excinfo.value.precheck.passed
-
-
-def test_phi_gate_suite_does_not_change_extraction():
-    # the pair suite only gates; the extracted matrix is suite-independent
-    group, registry = builtin_group_by_name("d4")
-    domain = GroupAlgebra(group, registry)
-    rng = np.random.default_rng(6)
-    linear = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
-    P = HomPoly.prototypical(linear, 2, domain)
-    a = phi_group(P, seed=7, pair_count=50)
-    b = phi_group(P, seed=8, pair_count=200)
-    c = phi_group(P, seed=9, precheck=False)
-    assert np.abs(a.matrix - b.matrix).max() <= 1e-12
-    assert np.abs(a.matrix - c.matrix).max() <= 1e-12
 
 
 def test_path_agreement_direct_vs_blockwise():
@@ -229,7 +214,7 @@ def test_both_routes_recover_and_agree(name):
     for n in (2, 3, 4):
         linear = rng.standard_normal((2, group.order)) + 1j * rng.standard_normal((2, group.order))
         P = HomPoly.prototypical(linear, n, domain)
-        direct = phi_group(P, seed=n, pair_count=20, verify_samples=20)
+        direct = phi_group(P, seed=n, verify_samples=20)
         blockwise = phi_group_blockwise(P, seed=n, verify_samples=20)
         assert np.abs(direct.matrix - linear).max() <= 1e-12, (name, n)
         assert np.abs(blockwise.matrix - linear).max() <= 1e-12, (name, n)
@@ -241,20 +226,33 @@ def test_each_route_spends_n_plus_one_evaluations_per_basis_element(n):
     domain = GroupAlgebra(group, registry)
     rng = np.random.default_rng(n)
     linear = rng.standard_normal((1, 24)) + 1j * rng.standard_normal((1, 24))
-    homogeneity, pairs, probes = 2 * 3, 3 * 7, 5  # two per probe, three per pair
+    homogeneity, probes = 2 * 3, 5  # two per homogeneity probe
     P, calls = counting(HomPoly.prototypical(linear, n, domain))
-    phi_group(P, seed=1, pair_count=7, verify_samples=probes)
-    assert len(calls) == 24 * (n + 1) + homogeneity + pairs + probes
-    P, calls = counting(HomPoly.prototypical(linear, n, domain))
-    phi_group(P, seed=1, verify_samples=probes, precheck=False)
+    phi_group(P, seed=1, verify_samples=probes)
     assert len(calls) == 24 * (n + 1) + homogeneity + probes
+    P, calls = counting(HomPoly.prototypical(linear, n, domain))
+    phi_group(P)  # default arguments: 200 probes, and no pair suite
+    assert len(calls) == 24 * (n + 1) + homogeneity + 200
     P, calls = counting(HomPoly.prototypical(linear, n, domain))
     phi_group_blockwise(P, seed=1, verify_samples=probes)
     assert len(calls) == 24 * (n + 1) + homogeneity + probes
     matrices = MatrixAlgebra(3)
     P, calls = counting(HomPoly.prototypical(rng.standard_normal((1, 9)), n, matrices))
-    phi_matrix_algebra(P, seed=1, verify_samples=probes)
+    phi_group(P, seed=1, verify_samples=probes)
     assert len(calls) == 9 * (n + 1) + homogeneity + probes
+
+
+def test_phi_group_needs_only_a_unit():
+    # the unit slot uses no irrep registry and no pair suite
+    rng = np.random.default_rng(17)
+    group, _ = builtin_group_by_name("d4")
+    domains = (GroupAlgebra(group), PointwiseAlgebra((-2, -1, 0, 1, 2)))
+    for domain in domains:
+        for n in (2, 3):
+            linear = rng.standard_normal((2, domain.dim)) + 1j * rng.standard_normal((2, domain.dim))
+            L = phi_group(HomPoly.prototypical(linear, n, domain), seed=n)
+            assert np.abs(L.matrix - linear).max() <= 1e-12, (domain.descriptor(), n)
+            assert L.verification["pass"]
 
 
 def group_trace_square(group, registry):
@@ -291,4 +289,4 @@ def test_inhomogeneous_blackbox_rejected_by_every_route():
     matrices = MatrixAlgebra(2)
     lying = HomPoly(2, matrices, 1, lambda x: np.array([np.trace(matrices.product_power(x, 3).reshape(2, 2))]))
     with pytest.raises(HomogeneityViolation):
-        phi_matrix_algebra(lying, seed=4)
+        phi_group(lying, seed=4)
