@@ -27,7 +27,7 @@ import numpy as np
 from .domains import PointwiseAlgebra
 from .errors import BadExponent, UnderSampled
 from .jsonio import complex_to_pair, pair_to_complex
-from .polynomials import HomPoly, polarize
+from .polynomials import HomPoly, _unit_slot
 
 DEFAULT_QUADRATURE_POINTS = 1 << 14
 
@@ -156,7 +156,8 @@ def fejer_limit_check(weights: dict, f: TrigPoly, n: int, m_list) -> dict:
     polynomial P(g) = sum_k w_k ghat(k)^n and watch the one-slot limit.
 
     For each m the value phi(f, F_m, ..., F_m) is computed two ways:
-    honestly, by polarizing the black-box P, and in closed form as
+    honestly, from n + 1 evaluations of the black-box P through the unit
+    slot (F_m in the unit slots, f in the free one), and in closed form as
     sum_k w_k fhat(k) (1 - |k|/(m+1))^(n-1) (coefficients beyond m drop
     out). The report records both, the distance to the limiting value
     sum_k w_k fhat(k), and whether errors decay monotonically.
@@ -181,10 +182,9 @@ def fejer_limit_check(weights: dict, f: TrigPoly, n: int, m_list) -> dict:
             return np.array([np.sum(_w * x**n)])
 
         model = HomPoly(n, domain, 1, evaluate)
-        phi = polarize(model)
         f_vec = np.array([f.coeff(k) for k in support])
         kernel_vec = np.array([kernel.coeff(k) for k in support])
-        value = complex(phi(f_vec, *([kernel_vec] * (n - 1)))[0])
+        value = complex(_unit_slot(model, kernel_vec, f_vec[None])[0, 0])
         closed = sum(
             c * f.coeff(k) * kernel.coeff(k) ** (n - 1) for k, c in weights.items()
         )

@@ -171,6 +171,20 @@ def polarize(P: HomPoly, seed: int = 0) -> SymMultilinear:
     return SymMultilinear(n, P.domain, P.codomain_dim, evaluate)
 
 
+def _unit_slot(P: HomPoly, unit: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """phi(d, u, ..., u) for each row d of `directions`, as (m, rows) columns.
+
+    s -> P(u + s d) has degree n with s^1 coefficient n phi(d, u, ..., u);
+    the coefficient is read off the n + 1 values at the (n+1)-th roots
+    of unity. Terms above degree n would alias into it, so callers
+    probe homogeneity first unless P is homogeneous by construction.
+    """
+    n = P.degree
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    columns = [sum(w.conjugate() * P(unit + w * d) for w in roots) for d in directions]
+    return np.stack(columns, axis=1) / (n * (n + 1))
+
+
 def tensor_of(phi: SymMultilinear) -> dict:
     """Dense symmetric tensor of phi on sorted basis multi-indices."""
     dim = phi.domain.dim

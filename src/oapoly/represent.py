@@ -5,7 +5,7 @@ For an orthogonally additive degree-n polynomial P there is a unique
 linear map L with P(f) = L(f^n) (products taken in the algebra), and
 L(a) = phi(a, u, ..., u) whenever u is a unit for a, with phi the
 polarization of P. Every route reads phi(d, u, ..., u) off n + 1
-evaluations of P on the line u + s d (see ``_unit_slot``):
+evaluations of P on the line u + s d (see ``polynomials._unit_slot``):
 
 * the unit slot, on any unital domain: u the unit, d the basis scaled
   by the largest entry of u (the point masses delta_t of a group
@@ -31,7 +31,7 @@ from .errors import VerificationFailure
 from .fourier import central_idempotent
 from .groups import GroupTable
 from .jsonio import json_field, matrix_to_pairs, pairs_to_matrix
-from .polynomials import HomPoly, check_homogeneity
+from .polynomials import HomPoly, _unit_slot, check_homogeneity
 
 # span_check counts singular values above this fraction of the largest
 SPAN_THRESHOLD = 1e-8
@@ -86,20 +86,6 @@ def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol) -> LinearMap:
         )
     object.__setattr__(L, "verification", report)
     return L
-
-
-def _unit_slot(P: HomPoly, unit: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """phi(d, u, ..., u) for each row d of `directions`, as (m, rows) columns.
-
-    s -> P(u + s d) has degree n with s^1 coefficient n phi(d, u, ..., u);
-    the coefficient is read off the n + 1 values at the (n+1)-th roots
-    of unity. Terms above degree n would alias into it, so callers
-    probe homogeneity first.
-    """
-    n = P.degree
-    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    columns = [sum(w.conjugate() * P(unit + w * d) for w in roots) for d in directions]
-    return np.stack(columns, axis=1) / (n * (n + 1))
 
 
 def phi_group(

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from oapoly import (
     DimensionMismatch,
+    GroupMismatch,
     GroupTable,
     Irrep,
     IrrepRegistry,
@@ -12,12 +15,14 @@ from oapoly import (
     validate_group,
     validate_irreps,
 )
-from oapoly.groups import group_from_json, group_to_json
+from oapoly.groups import TOL_LINEAR, TOL_QUADRATIC, group_from_json, group_to_json
 
 BUILTINS = ["z1", "z4", "z6", "d3", "d4", "d6", "s3", "s4", "q8"]
+# up to d16, small enough for the exhaustive reference below
+SMALL_BUILTINS = ["z1", "z2", "z4", "z6", "z16", "z32", "d3", "d4", "d6", "d8", "d16", "s3", "s4", "q8"]
 
 
-@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("name", BUILTINS + ["d128", "z512", "d256"])
 def test_builtin_groups_validate(name):
     group, registry = builtin_group_by_name(name)
     table_report = validate_group(group)
@@ -98,7 +103,8 @@ def test_validate_irreps_reducible_rejected():
     fake = Irrep("fake2", 2, fake_mats)
     report = validate_irreps(group, IrrepRegistry(group, (triv, sgn, fake)))
     assert not report.ok
-    assert abs(report.residuals["irreducibility[fake2]"] - 1.0) <= 1e-12
+    # the (0, 0) coefficients of fake2 are triv's, met with weight dim 2
+    assert abs(report.residuals["schur_orthogonality"] - 2.0) <= 1e-12
 
 
 def test_regular_character_identity():
@@ -109,6 +115,18 @@ def test_regular_character_identity():
         expected = np.zeros(group.order, dtype=complex)
         expected[group.identity] = group.order
         np.testing.assert_allclose(regular, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_dihedral_table_matches_the_defining_products(n):
+    # r^i r^j = r^(i+j), r^i s r^j = s r^(j-i), s r^i r^j = s r^(i+j), s r^i s r^j = r^(j-i)
+    group, _ = builtin_group("dihedral", n)
+    for i in range(n):
+        for j in range(n):
+            assert group.mult[i, j] == (i + j) % n
+            assert group.mult[i, n + j] == n + (j - i) % n
+            assert group.mult[n + i, j] == n + (i + j) % n
+            assert group.mult[n + i, n + j] == (j - i) % n
 
 
 def test_unsupported_group_requests():
@@ -138,3 +156,172 @@ def test_group_json_round_trip():
     np.testing.assert_array_equal(loaded_group.mult, group.mult)
     report = validate_irreps(loaded_group, loaded_registry)
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# exhaustive reference: the pair-by-pair checks the validators replace, N <= 64
+
+
+def reference_group_ok(g) -> bool:
+    """The group axioms with the N^3 associativity loop."""
+    n, mult, inv, e = g.order, g.mult, g.inv, g.identity
+    if min(mult.min(), inv.min()) < 0 or max(mult.max(), inv.max()) >= n:
+        return False
+    idx = np.arange(n)
+    if (mult[e] != idx).any() or (mult[:, e] != idx).any():
+        return False
+    if ((mult[idx, inv] != e) | (mult[inv, idx] != e)).any():
+        return False
+    return all((mult[mult[a]] == mult[a][mult]).all() for a in range(n))
+
+
+def reference_homomorphism(g, rep) -> float:
+    """max |U(st) - U(s)U(t)| over all pairs, entrywise."""
+    prod = np.einsum("sij,tjk->stik", rep.matrices, rep.matrices)
+    return float(np.abs(rep.matrices[g.mult] - prod).max())
+
+
+def reference_irreps_ok(g, registry) -> bool:
+    """Unitarity, the all-pairs homomorphism, irreducibility,
+    completeness, character orthogonality and the regular character."""
+    n = g.order
+    ok = True
+    for rep in registry.irreps:
+        mats = rep.matrices
+        ok &= np.abs(mats @ mats.conj().transpose(0, 2, 1) - np.eye(rep.dim)).max() <= TOL_LINEAR
+        ok &= reference_homomorphism(g, rep) <= TOL_LINEAR
+        chi = rep.character
+        ok &= abs(np.vdot(chi, chi).real / n - 1.0) <= TOL_QUADRATIC
+    ok &= sum(d * d for d in registry.dims) == n
+    chars = np.array([rep.character for rep in registry.irreps])
+    ok &= np.abs(chars @ chars.conj().T / n - np.eye(len(chars))).max() <= TOL_QUADRATIC
+    if sum(d * d for d in registry.dims) == n:
+        regular = sum(rep.dim * rep.character for rep in registry.irreps)
+        ok &= np.abs(regular - n * (np.arange(n) == g.identity)).max() <= TOL_QUADRATIC
+    return bool(ok)
+
+
+def _haar(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def relabelled_file(name, seed=0):
+    """A builtin with shuffled element labels and Haar-conjugated irreps,
+    through the JSON group format."""
+    group, registry = builtin_group_by_name(name)
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(group.order)  # builtin index -> file index
+    back = np.argsort(relabel)
+    mult = relabel[group.mult[back[:, None], back[None, :]]]
+    moved = GroupTable(name, group.order, mult, relabel[group.inv[back]], int(relabel[group.identity]))
+    irreps = []
+    for rep in registry.irreps:
+        u = _haar(rng, rep.dim)
+        irreps.append(Irrep(rep.label, rep.dim, u @ rep.matrices[back] @ u.conj().T))
+    doc = json.loads(json.dumps(group_to_json(moved, IrrepRegistry(moved, tuple(irreps)))))
+    return group_from_json(doc)
+
+
+def swapped_table():
+    # two entries of row r swapped; no identity or inverse entry moves
+    group, _ = builtin_group_by_name("d4")
+    mult = group.mult.copy()
+    mult[1, [5, 6]] = mult[1, [6, 5]]
+    return GroupTable("d4_swapped", 8, mult, group.inv, 0)
+
+
+def loop5():
+    # the smallest loop that is not a group: Latin, identity 0, x*x = 0
+    mult = np.array(
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    )
+    return GroupTable("loop5", 5, mult, np.arange(5), 0)
+
+
+TABLE_CASES = {
+    name: (lambda name=name: builtin_group_by_name(name)[0], True) for name in SMALL_BUILTINS
+}
+TABLE_CASES["relabelled_d6"] = (lambda: relabelled_file("d6")[0], True)
+TABLE_CASES["swapped"] = (swapped_table, False)
+TABLE_CASES["loop5"] = (loop5, False)
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_validate_group_matches_exhaustive_reference(case):
+    build, expected = TABLE_CASES[case]
+    group = build()
+    assert reference_group_ok(group) is expected
+    report = validate_group(group)
+    assert report.ok is expected, report.violations
+    if not expected:
+        assert any(v.startswith("associativity") for v in report.violations)
+
+
+def _replace(name, index, rep):
+    group, registry = builtin_group_by_name(name)
+    irreps = list(registry.irreps)
+    irreps[index] = rep(group, registry)
+    return group, IrrepRegistry(group, tuple(irreps))
+
+
+def _sign_flipped(group, registry):
+    mats = registry.irreps[2].matrices.copy()
+    mats[1] *= -1
+    return Irrep("std2", 2, mats)
+
+
+def _reducible(group, registry):
+    triv, sgn = registry.irreps[:2]
+    pairs = zip(triv.matrices[:, 0, 0], sgn.matrices[:, 0, 0])
+    return Irrep("fake2", 2, np.stack([np.diag([a, b]) for a, b in pairs]))
+
+
+def _duplicate_sgn(group, registry):
+    return Irrep("sgn2", 1, registry.irreps[1].matrices)
+
+
+def _incomplete():
+    group, registry = builtin_group_by_name("q8")
+    return group, IrrepRegistry(group, registry.irreps[:4])
+
+
+IRREP_CASES = {
+    name: (lambda name=name: builtin_group_by_name(name), True) for name in SMALL_BUILTINS
+}
+IRREP_CASES["relabelled_d6"] = (lambda: relabelled_file("d6"), True)
+IRREP_CASES["relabelled_d5"] = (lambda: relabelled_file("d5", seed=1), True)
+IRREP_CASES["reducible"] = (lambda: _replace("s3", 2, _reducible), False)
+IRREP_CASES["duplicated"] = (lambda: _replace("s3", 0, _duplicate_sgn), False)
+IRREP_CASES["sign_flipped"] = (lambda: _replace("s3", 2, _sign_flipped), False)
+IRREP_CASES["incomplete"] = (_incomplete, False)
+
+
+@pytest.mark.parametrize("case", sorted(IRREP_CASES))
+def test_validate_irreps_matches_exhaustive_reference(case):
+    build, expected = IRREP_CASES[case]
+    group, registry = build()
+    assert reference_irreps_ok(group, registry) is expected
+    report = validate_irreps(group, registry)
+    assert report.ok is expected, report.violations
+
+
+@pytest.mark.parametrize("name", ["q8", "s4", "d8", "d16", "z32", "z64"])
+def test_homomorphism_bound_dominates_all_pairs(name):
+    group, registry = builtin_group_by_name(name)
+    rng = np.random.default_rng(group.order)
+    for scale in (1e-15, 1e-14, 1e-13, 1e-12, 1e-11):
+        noisy = []
+        for rep in registry.irreps:
+            noise = rng.standard_normal((2,) + rep.matrices.shape)
+            noisy.append(Irrep(rep.label, rep.dim, rep.matrices + scale * (noise[0] + 1j * noise[1])))
+        report = validate_irreps(group, IrrepRegistry(group, tuple(noisy)))
+        for rep in noisy:
+            assert report.residuals[f"homomorphism[{rep.label}]"] >= reference_homomorphism(group, rep)
+
+
+def test_validate_irreps_rejects_a_registry_of_another_table():
+    group, _ = builtin_group_by_name("d4")
+    _, registry = builtin_group_by_name("d4")
+    with pytest.raises(GroupMismatch):
+        validate_irreps(group, registry)
