@@ -27,7 +27,6 @@ from .fourier import (
     AlgElement,
     FourierSide,
     banach_norm,
-    block_element,
     central_idempotent,
     convolve,
     decompose,

@@ -28,7 +28,6 @@ import numpy as np
 from .domains import GroupAlgebra
 from .fourier import (
     AlgElement,
-    block_element,
     convolve,
     delta_identity,
     element_from_json,
@@ -76,7 +75,7 @@ class SnCertificate:
     def reconstruction(self) -> AlgElement:
         total = np.zeros(self.target.group.order, dtype=np.complex128)
         for factors in self.tuples:
-            total += sym_product(list(factors)).values
+            total += sym_product([f.values for f in factors], GroupAlgebra(self.target.group))
         return AlgElement(self.target.group, total)
 
     def recompute_bound(self) -> float:
@@ -198,8 +197,8 @@ def _block_root_parts(
         roots.append(root)
     if per_ideal:
         return [
-            block_element(registry, i, root)
-            for i, root in enumerate(roots)
+            AlgElement(a.group, registry.synthesis[:, sl] @ root.reshape(-1))
+            for sl, root in zip(registry.block_slices, roots)
             if np.abs(root).max() >= 1e-14
         ]
     return [inverse_fourier(FourierSide(registry, tuple(roots)))]

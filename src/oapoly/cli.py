@@ -183,10 +183,10 @@ def _cmd_represent_extract(args) -> int:
     doc = _load_json(args.poly)
     domain = _resolve_domain(doc, args)
     poly = poly_from_json(doc, domain)
-    # on a group algebra the artifact also carries the `oadd check` report;
-    # it informs, the probe gate of the extraction decides
+    # on a group algebra with a registry (complete, as validated) the artifact also
+    # carries the `oadd check` report; it informs, the probe gate of the extraction decides
     oadd = {}
-    if isinstance(domain, GroupAlgebra):
+    if isinstance(domain, GroupAlgebra) and domain.registry is not None:
         pairs = orthogonal_pairs(domain, args.pairs, args.seed)
         oadd["oadd"] = check_orthogonal_additivity(poly, pairs, tol=args.tol).to_dict()
     try:

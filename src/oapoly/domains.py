@@ -1,11 +1,14 @@
 """Algebra domains that polynomials can be defined over.
 
 A domain packages the coefficient-vector view of a finite-dimensional
-algebra: its dimension, multiplication, unit and a default norm. The
-three concrete domains are full matrix algebras, group convolution
-algebras, and pointwise coefficient algebras (the truncated
-trigonometric polynomials of the circle, where convolution is a
-coefficientwise product).
+algebra: its dimension, multiplication, unit, a default norm, and its
+block structure as a sum of full matrix algebras: the block sizes
+`dims`, and `from_blocks`, taking concatenated row-major blocks to
+coefficient vectors. Full matrix algebras (one block) and pointwise
+coefficient algebras (1 x 1 blocks, the truncated trigonometric
+polynomials of the circle) are shapes of the internal BlockAlgebra. A
+group convolution algebra keeps its table product and reaches its
+blocks, the minimal ideals, through its registry's synthesis operator.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ class AlgebraDomain:
     """Interface: finite-dimensional complex algebra on coefficient vectors."""
 
     dim: int
+    dims: tuple[int, ...]
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -32,6 +36,10 @@ class AlgebraDomain:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
+        raise NotImplementedError
+
+    def from_blocks(self, v: np.ndarray) -> np.ndarray:
+        """Concatenated row-major blocks of sizes `dims` to coefficients, per row."""
         raise NotImplementedError
 
     def random(self, rng: np.random.Generator) -> np.ndarray:
@@ -47,26 +55,49 @@ class AlgebraDomain:
         return out
 
 
-class MatrixAlgebra(AlgebraDomain):
+class BlockAlgebra(AlgebraDomain):
+    """The direct sum of M_d over `dims`, on concatenated row-major blocks;
+    the default norm is the Frobenius norm."""
+
+    def __init__(self, dims: tuple[int, ...]):
+        self.dims = tuple(int(d) for d in dims)
+        self.dim = sum(d * d for d in self.dims)
+        # per block size, the coefficient positions of its blocks as (count, d*d)
+        starts = np.cumsum([0] + [d * d for d in self.dims])
+        self._runs = [
+            (d, np.array([start + np.arange(d * d) for start, e in zip(starts, self.dims) if e == d]))
+            for d in sorted(set(self.dims))
+        ]
+
+    def mul(self, x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        out = np.empty((*lead, self.dim), dtype=np.result_type(x, y))
+        for d, pos in self._runs:
+            xb = x[..., pos].reshape(*x.shape[:-1], len(pos), d, d)
+            yb = y[..., pos].reshape(*y.shape[:-1], len(pos), d, d)
+            # 1 x 1 blocks multiply as scalars, bit for bit the pointwise product
+            out[..., pos] = (xb * yb if d == 1 else xb @ yb).reshape(*lead, len(pos), d * d)
+        return out
+
+    def one(self):
+        return np.concatenate([np.eye(d, dtype=np.complex128).reshape(-1) for d in self.dims])
+
+    def norm(self, x):
+        return float(np.linalg.norm(np.asarray(x)))
+
+    def from_blocks(self, v):
+        return v
+
+
+class MatrixAlgebra(BlockAlgebra):
     """The full k x k matrix algebra, vectors are row-major flattenings."""
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("matrix algebra size must be positive")
+        super().__init__((k,))
         self.k = k
-        self.dim = k * k
-
-    def mul(self, x, y):
-        x, y, k = np.asarray(x), np.asarray(y), self.k
-        prod = x.reshape(*x.shape[:-1], k, k) @ y.reshape(*y.shape[:-1], k, k)
-        return prod.reshape(*prod.shape[:-2], k * k)
-
-    def one(self):
-        return np.eye(self.k, dtype=np.complex128).reshape(-1)
-
-    def norm(self, x):
-        # spectral norm, the C*-norm of the matrix algebra
-        return float(np.linalg.norm(np.asarray(x).reshape(self.k, self.k), 2))
 
     def descriptor(self):
         return {"type": "matrix", "k": self.k}
@@ -94,6 +125,13 @@ class GroupAlgebra(AlgebraDomain):
     def descriptor(self):
         return {"type": "group", "name": self.group.name}
 
+    @property
+    def dims(self):
+        return self.require_registry().dims
+
+    def from_blocks(self, v):
+        return np.asarray(v) @ self.require_registry().synthesis.T
+
     def require_registry(self) -> IrrepRegistry:
         if self.registry is None or not self.registry.is_complete():
             raise IncompleteRegistry(
@@ -102,8 +140,8 @@ class GroupAlgebra(AlgebraDomain):
         return self.registry
 
 
-class PointwiseAlgebra(AlgebraDomain):
-    """Coefficient vectors under pointwise products.
+class PointwiseAlgebra(BlockAlgebra):
+    """Coefficient vectors under pointwise products, one 1 x 1 block per slot.
 
     Models finite coefficient windows of circle trigonometric
     polynomials, where convolution multiplies Fourier coefficients
@@ -114,16 +152,7 @@ class PointwiseAlgebra(AlgebraDomain):
         self.support = tuple(int(k) for k in support)
         if len(set(self.support)) != len(self.support):
             raise ValueError("support frequencies must be distinct")
-        self.dim = len(self.support)
-
-    def mul(self, x, y):
-        return np.asarray(x) * np.asarray(y)
-
-    def one(self):
-        return np.ones(self.dim, dtype=np.complex128)
-
-    def norm(self, x):
-        return float(np.linalg.norm(np.asarray(x)))
+        super().__init__((1,) * len(self.support))
 
     def descriptor(self):
         return {"type": "trig", "support": list(self.support)}

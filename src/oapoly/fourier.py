@@ -23,9 +23,10 @@ through it and one mat-vec with f. A registry caches two operators: the
 analysis operator, taking values to the concatenated flattened blocks
 (1/N included), and for a complete registry the N x N synthesis
 operator, taking them back (dim_pi included). ``fourier`` and
-``inverse_fourier`` are one matmul each, ``block_element`` is a slice
-of the synthesis operator, and the ideal components of ``decompose``
-are read off one transform. Powers go through
+``inverse_fourier`` are one matmul each, and the ideal components of
+``decompose`` are read off one transform, each block mapped back by its
+slice of the synthesis operator (``GroupAlgebra.from_blocks`` is the
+whole operator). Powers go through
 ``AlgebraDomain.product_power``. A batch of B convolutions is
 gathered in row chunks of at most 32 MiB, so it holds B x N
 values plus one chunk, never the B x N x N gather. The caches are
@@ -182,31 +183,14 @@ def central_idempotent(group: GroupTable, rep: Irrep) -> AlgElement:
     return AlgElement(group, rep.dim * rep.character)
 
 
-def block_element(registry: IrrepRegistry, index: int, matrix: np.ndarray) -> AlgElement:
-    """The algebra element whose Fourier side is `matrix` on one irrep
-    and zero on every other block: a slice of the synthesis operator,
-    so only a complete registry has one."""
-    rep = registry.irreps[index]
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (rep.dim, rep.dim):
-        raise GroupMismatch(f"block for {rep.label!r} must be {rep.dim} x {rep.dim}")
-    columns = registry.synthesis[:, registry.block_slices[index]]
-    return AlgElement(registry.group, columns @ matrix.reshape(-1))
-
-
 def decompose(f: AlgElement, registry: IrrepRegistry) -> list[tuple[Irrep, AlgElement]]:
     """Split f into its ideal components f * e_pi; they reconstruct f
     and annihilate each other pairwise under convolution."""
-    if registry.group is not f.group:
-        raise GroupMismatch("registry belongs to a different group")
-    if not registry.is_complete():
-        raise IncompleteRegistry(
-            f"registry for {registry.group.name} has sum(dim^2) != order"
-        )
     side = fourier(f, registry)
+    synthesis = registry.synthesis  # raises IncompleteRegistry
     return [
-        (rep, block_element(registry, index, block))
-        for index, (rep, block) in enumerate(zip(registry.irreps, side.blocks))
+        (rep, AlgElement(f.group, synthesis[:, sl] @ block.reshape(-1)))
+        for rep, sl, block in zip(registry.irreps, registry.block_slices, side.blocks)
     ]
 
 

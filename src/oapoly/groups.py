@@ -73,6 +73,26 @@ class GroupTable:
         """The read-only table of s^-1 t at [s, t], built on first use."""
         return _readonly(self.mult[self.inv])
 
+    @cached_property
+    def generators(self) -> tuple[list[int], int]:
+        """A generating set S and its word depth D: every element is a
+        left-nested product s_1(s_2(...s_k)) of k <= D members of S. The first
+        unreached element joins S until all are reached, then the deepest one
+        while D > 2 ceil(log2 N); each adds a new member, so any in-range table
+        ends. Built on first use; the validators read it after the range check."""
+        limit = max(1, 2 * (self.order - 1).bit_length())
+        gens: list[int] = []
+        depth = np.zeros(self.order, dtype=np.int64)  # 0 marks unreached
+        while not depth.all() or depth.max() > limit:
+            gens.append(int(np.argmax(depth) if depth.all() else np.argmin(depth)))
+            depth[:] = 0
+            frontier = np.array(gens)
+            while frontier.size:
+                depth[frontier] = depth.max() + 1
+                reached = np.unique(self.mult[np.ix_(gens, frontier)])
+                frontier = reached[depth[reached] == 0]
+        return gens, int(depth.max())
+
 
 @dataclass(frozen=True, eq=False)
 class Irrep:
@@ -398,25 +418,6 @@ def builtin_group_by_name(name: str) -> tuple[GroupTable, IrrepRegistry]:
 # validation
 
 
-def _generators(g: GroupTable) -> tuple[list[int], int]:
-    """A generating set S and its word depth D: every element is a
-    left-nested product s_1(s_2(...s_k)) of k <= D members of S. The first
-    unreached element joins S until all are reached, then the deepest one
-    while D > 2 ceil(log2 N); each adds a new member, so any in-range table ends."""
-    limit = max(1, 2 * (g.order - 1).bit_length())
-    gens: list[int] = []
-    depth = np.zeros(g.order, dtype=np.int64)  # 0 marks unreached
-    while not depth.all() or depth.max() > limit:
-        gens.append(int(np.argmax(depth) if depth.all() else np.argmin(depth)))
-        depth[:] = 0
-        frontier = np.array(gens)
-        while frontier.size:
-            depth[frontier] = depth.max() + 1
-            reached = np.unique(g.mult[np.ix_(gens, frontier)])
-            frontier = reached[depth[reached] == 0]
-    return gens, int(depth.max())
-
-
 def validate_group(g: GroupTable) -> ValidationReport:
     """Check the group axioms and report the violations, at most
     MAX_LISTED of each kind. Associativity is Light's test on the
@@ -446,7 +447,7 @@ def validate_group(g: GroupTable) -> ValidationReport:
         violations.append(f"inverse: {t} and inv[{t}]={inv[t]} do not compose to e")
 
     assoc_bad = 0
-    for s in _generators(g)[0]:
+    for s in g.generators[0]:
         mism = np.argwhere(mult[mult[:, s]] != mult[:, mult[s]])  # (x*s)*y vs x*(s*y)
         for x, y in mism[: max(0, MAX_LISTED - assoc_bad)]:
             violations.append(f"associativity: ({x}*{s})*{y} != {x}*({s}*{y})")
@@ -477,7 +478,7 @@ def validate_irreps(g: GroupTable, registry: IrrepRegistry) -> ValidationReport:
     violations: list[str] = []
     residuals: dict = {}
     n = g.order
-    gens, depth = _generators(g)
+    gens, depth = g.generators
 
     for rep in registry.irreps:
         mats = rep.matrices

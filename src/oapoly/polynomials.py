@@ -8,9 +8,9 @@ map phi with phi(x, ..., x) = P(x), recovered by the signed average
           e_1 ... e_n P(e_1 x_1 + ... + e_n x_n).
 
 P is orthogonally additive when P(a+b) = P(a) + P(b) whenever
-a b = b a = 0. The pair generator below produces structured witnesses
-of such zero products (distinct minimal ideals, and complementary
-diagonal blocks inside a single ideal conjugated by a random unitary),
+a b = b a = 0. The pair generator below builds such zero products on
+the blocks of any domain (complementary diagonals of one block under a
+random unitary, and random blocks on complementary sets of blocks),
 plus the degenerate pair (f, 0).
 """
 
@@ -23,9 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domains import AlgebraDomain, GroupAlgebra, MatrixAlgebra, PointwiseAlgebra
-from .errors import GroupMismatch, HomogeneityViolation, NotOrthogonal
-from .fourier import AlgElement, block_element
+from .domains import AlgebraDomain
+from .errors import HomogeneityViolation, NotOrthogonal
 from .jsonio import complex_to_pair, json_field, pair_to_complex, pairs_to_vector
 
 MAX_DEGREE = 6  # polarization costs 2^n evaluations per tuple
@@ -195,38 +194,20 @@ def tensor_of(phi: SymMultilinear) -> dict:
     return out
 
 
-def sym_product(xs: Sequence, domain: AlgebraDomain | None = None):
-    """Symmetrized product: the average of all products over orderings.
-
-    Accepts AlgElements (domain inferred from their shared group) or
-    raw coefficient vectors together with an explicit domain. The
-    diagonal case sym_product([a] * n) is the plain n-th power.
-    """
-    xs = list(xs)
+def sym_product(xs: Sequence[np.ndarray], domain: AlgebraDomain) -> np.ndarray:
+    """Symmetrized product of coefficient vectors: the average of all
+    products over orderings. sym_product([a] * n, domain) is the plain
+    n-th power."""
+    xs = [np.asarray(x, dtype=np.complex128) for x in xs]
     if not xs:
         raise ValueError("need at least one factor")
-    wrap = None
-    if all(isinstance(x, AlgElement) for x in xs):
-        group = xs[0].group
-        for x in xs[1:]:
-            if x.group is not group:
-                raise GroupMismatch("factors live on different groups")
-        domain = GroupAlgebra(group)
-        wrap = lambda v: AlgElement(group, v)
-        xs = [x.values for x in xs]
-    elif domain is None:
-        raise ValueError("raw vectors need an explicit domain")
-    xs = [np.asarray(x, dtype=np.complex128) for x in xs]
     total = np.zeros(domain.dim, dtype=np.complex128)
-    count = 0
     for order in itertools.permutations(range(len(xs))):
         prod = xs[order[0]]
         for i in order[1:]:
             prod = domain.mul(prod, xs[i])
         total += prod
-        count += 1
-    result = total / count
-    return wrap(result) if wrap is not None else result
+    return total / math.factorial(len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -249,84 +230,50 @@ def _split_diagonals(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.n
 
 
 def orthogonal_pairs(
-    domain: AlgebraDomain,
-    count: int,
-    seed: int,
-    mode: str = "mixed",
+    domain: AlgebraDomain, count: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Generate pairs (x, y) with x y = y x = 0 in the domain.
 
-    mode chooses the construction family for group algebras: "cross"
-    (supports in two distinct minimal ideals), "within" (complementary
-    diagonal blocks of one ideal, conjugated by a random unitary), or
-    "mixed" (50/50 where both exist). Matrix algebras only have the
-    within-block family; pointwise algebras use disjoint supports.
-    The first pair is the degenerate (x, 0). Every emitted pair is
-    checked for two-sided zero products.
+    The first pair is the degenerate (x, 0). Every other pair is built on
+    the domain's blocks and mapped to coefficients by `from_blocks`, from
+    one of two families, 50/50 where both exist: "within" (complementary
+    diagonals of one block of size >= 2, conjugated by a random unitary)
+    and "cross" (random blocks on a random nonempty proper subset of the
+    blocks, against random blocks on the rest). On a group algebra the
+    blocks are its minimal ideals. Every emitted pair is checked for
+    two-sided zero products.
     """
     rng = np.random.default_rng(seed)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
-
     if count > 0:
         pairs.append((domain.random(rng), np.zeros(domain.dim, dtype=np.complex128)))
 
-    if isinstance(domain, GroupAlgebra):
-        registry = domain.require_registry()
-        wide = [i for i, rep in enumerate(registry.irreps) if rep.dim >= 2]
-        n_irreps = len(registry.irreps)
-        can_cross = n_irreps >= 2
-        while len(pairs) < count:
-            use_within = bool(wide) and (not can_cross or rng.random() < 0.5)
-            if mode == "cross":
-                use_within = False
-            elif mode == "within":
-                use_within = True
-            if use_within:
-                if not wide:
-                    raise ValueError("no irrep of dimension >= 2 for within-block pairs")
-                i = int(rng.choice(wide))
-                d = registry.irreps[i].dim
-                u = _haar_unitary(d, rng)
-                da, db = _split_diagonals(d, rng)
-                x = block_element(registry, i, u @ np.diag(da) @ u.conj().T).values
-                y = block_element(registry, i, u @ np.diag(db) @ u.conj().T).values
-            else:
-                if not can_cross:
-                    raise ValueError("a single-irrep registry has no cross-ideal pairs")
-                i, j = rng.choice(n_irreps, size=2, replace=False)
-                di = registry.irreps[int(i)].dim
-                dj = registry.irreps[int(j)].dim
-                mi = rng.standard_normal((di, di)) + 1j * rng.standard_normal((di, di))
-                mj = rng.standard_normal((dj, dj)) + 1j * rng.standard_normal((dj, dj))
-                x = block_element(registry, int(i), mi).values
-                y = block_element(registry, int(j), mj).values
-            pairs.append((x, y))
-    elif isinstance(domain, MatrixAlgebra):
-        d = domain.k
-        if d < 2 and count > len(pairs):
-            raise ValueError("1 x 1 matrices admit only zero pairs")
-        while len(pairs) < count:
-            u = _haar_unitary(d, rng)
-            da, db = _split_diagonals(d, rng)
-            pairs.append(
-                ((u @ np.diag(da) @ u.conj().T).reshape(-1), (u @ np.diag(db) @ u.conj().T).reshape(-1))
-            )
-    elif isinstance(domain, PointwiseAlgebra):
-        if domain.dim < 2 and count > len(pairs):
-            raise ValueError("need at least two slots for disjoint supports")
-        while len(pairs) < count:
-            mask = np.zeros(domain.dim)
-            keep = rng.permutation(domain.dim)[: int(rng.integers(1, domain.dim))]
-            mask[keep] = 1.0
-            x = domain.random(rng) * mask
-            y = domain.random(rng) * (1.0 - mask)
-            pairs.append((x, y))
-    else:
-        raise ValueError(f"no pair construction for domain {type(domain).__name__}")
+    dims = domain.dims
+    sizes = [d * d for d in dims]
+    starts = np.cumsum([0] + sizes).tolist()
+    wide = [i for i, d in enumerate(dims) if d >= 2]
+    can_cross = len(dims) >= 2
+    if not (wide or can_cross) and count > len(pairs):
+        raise ValueError("a single 1 x 1 block admits only zero pairs")
+    # (x, y) of every further pair on the blocks, mapped to coefficients at once
+    blocks = np.zeros((max(count - len(pairs), 0), 2, domain.dim), dtype=np.complex128)
+    for x, y in blocks:
+        if wide and (not can_cross or rng.random() < 0.5):
+            i = int(rng.choice(wide))
+            u = _haar_unitary(dims[i], rng)
+            for row, diagonal in zip((x, y), _split_diagonals(dims[i], rng)):
+                row[starts[i] : starts[i + 1]] = (u @ np.diag(diagonal) @ u.conj().T).reshape(-1)
+        else:
+            # the blocks perm[:k] for a random permutation and 1 <= k < #blocks
+            perm = rng.permutation(len(dims))
+            mask = np.repeat(np.argsort(perm) < rng.integers(1, len(dims)), sizes)
+            x[:] = domain.random(rng) * mask
+            y[:] = domain.random(rng) * ~mask
+    pairs += [(x, y) for x, y in domain.from_blocks(blocks)]
 
     for x, y in pairs:
         _require_orthogonal(domain, x, y)
-    return pairs[:count]
+    return pairs
 
 
 def _require_orthogonal(domain: AlgebraDomain, x, y) -> None:

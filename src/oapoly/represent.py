@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import AlgebraDomain, GroupAlgebra
-from .errors import VerificationFailure
+from .errors import DimensionMismatch, GroupMismatch, VerificationFailure
 from .fourier import central_idempotent
 from .groups import GroupTable
 from .jsonio import json_field, matrix_to_pairs, pairs_to_matrix
@@ -69,6 +69,10 @@ def linear_map_to_json(L: LinearMap) -> dict:
 
 
 def linear_map_from_json(doc: dict, domain: AlgebraDomain) -> LinearMap:
+    if json_field(doc, "domain", dict, "linear map") != domain.descriptor():
+        raise GroupMismatch(
+            f"linear map domain {doc['domain']} != expected domain {domain.descriptor()}"
+        )
     codomain_dim = json_field(doc, "codomain_dim", int, "linear map")
     return LinearMap(domain, codomain_dim, pairs_to_matrix(doc["matrix"]))
 
@@ -140,6 +144,10 @@ def verify_representation(
 ) -> dict:
     """Report max over random probes of |P(f) - L(f^n)| / (1 + |P(f)|);
     the one probe verifier, also behind every extraction."""
+    if L.codomain_dim != P.codomain_dim:
+        raise DimensionMismatch(
+            f"linear map codomain_dim {L.codomain_dim} != polynomial codomain_dim {P.codomain_dim}"
+        )
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):

@@ -23,7 +23,14 @@ from oapoly.certificates import (
     certificate_to_json,
     pn_from_sn,
 )
-from oapoly.fourier import block_element
+from oapoly.fourier import FourierSide, inverse_fourier
+
+
+def block_element(registry, index, matrix):
+    """The element whose Fourier side is `matrix` on irrep `index` and zero elsewhere."""
+    blocks = [np.zeros((rep.dim, rep.dim)) for rep in registry.irreps]
+    blocks[index] = matrix
+    return inverse_fourier(FourierSide(registry, tuple(blocks)))
 
 
 def test_sn_bound_delta():

@@ -433,3 +433,45 @@ def test_norms_certify_verifies_the_chosen_power_certificate_once(s3_files, monk
     assert code == 0
     assert sum(cert is chosen[0].certificate for cert in verified) == 1
     assert json.loads(out)["pn_verified"] == chosen[0].verification.to_dict()
+
+
+@pytest.mark.parametrize("field", ["codomain_dim", "domain"])
+def test_represent_verify_rejects_a_phi_of_another_polynomial(field, s3_files, tmp_path, capsys):
+    extract_path = tmp_path / "extract.json"
+    argv = ["represent", "extract", "--poly", s3_files["good"], "--seed", "7", "--output", str(extract_path)]
+    assert main(argv) == 0
+    phi = json.loads(extract_path.read_text())["phi"]
+    if field == "codomain_dim":
+        phi["codomain_dim"], phi["matrix"] = 2, phi["matrix"] * 2  # both rows the true L
+    else:
+        phi["domain"] = {"type": "group", "name": "z6"}
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps(phi))
+    code = main(["represent", "verify", "--poly", s3_files["good"], "--phi", str(phi_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and field in err
+
+
+def test_represent_extract_on_a_group_file_without_irreps(s3_files, tmp_path, capsys):
+    group, registry = builtin_group_by_name("s3")
+    path = tmp_path / "s3_table.json"
+    path.write_text(json.dumps(group_to_json(group)))
+    code, out = run(["represent", "extract", "--group-file", str(path), "--poly", s3_files["good"],
+                     "--seed", "7"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"] is True and "oadd" not in doc
+    with_irreps, out = run(["represent", "extract", "--poly", s3_files["good"], "--seed", "7"], capsys)
+    expected = json.loads(out)["phi"]["matrix"]
+    assert with_irreps == 0 and np.abs(np.array(doc["phi"]["matrix"]) - expected).max() <= 1e-12
+
+
+def test_oadd_check_rejects_a_cubic_coupling_three_ideals(tmp_path, capsys):
+    group, registry = builtin_group_by_name("z4")
+    rows = np.stack([registry.analysis[sl.start] for sl in registry.block_slices[:3]])
+    cubic = HomPoly(3, GroupAlgebra(group, registry), 1, lambda x: np.array([np.prod(rows @ x)]))
+    path = tensor_file(tmp_path / "cubic_z4.json", cubic)
+    code, out = run(["oadd", "check", "--poly", path, "--seed", "7"], capsys)
+    assert code == 1 and json.loads(out)["passed"] is False
+    code, out = run(["represent", "extract", "--poly", path, "--seed", "7"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["pass"] is False and doc["oadd"]["passed"] is False

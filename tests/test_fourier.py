@@ -13,7 +13,6 @@ from oapoly import (
     GroupMismatch,
     IncompleteRegistry,
     banach_norm,
-    block_element,
     builtin_group_by_name,
     central_idempotent,
     convolve,
@@ -26,6 +25,13 @@ from oapoly import (
 )
 from oapoly.fourier import _CHUNK_BYTES, convolve_values, fourier
 from oapoly.groups import Irrep, IrrepRegistry
+
+
+def block_element(registry, index, matrix):
+    """The element whose Fourier side is `matrix` on irrep `index` and zero elsewhere."""
+    blocks = [np.zeros((rep.dim, rep.dim)) for rep in registry.irreps]
+    blocks[index] = matrix
+    return inverse_fourier(FourierSide(registry, tuple(blocks)))
 
 
 def elem(group, values):

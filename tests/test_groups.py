@@ -325,3 +325,27 @@ def test_validate_irreps_rejects_a_registry_of_another_table():
     _, registry = builtin_group_by_name("d4")
     with pytest.raises(GroupMismatch):
         validate_irreps(group, registry)
+
+
+def test_generators_are_built_once_per_table(monkeypatch, tmp_path):
+    import functools
+
+    import oapoly.cli as cli
+
+    tables = []
+    bfs = GroupTable.generators.func
+
+    def counting(table):
+        tables.append(table)
+        return bfs(table)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(GroupTable, "generators")
+    monkeypatch.setattr(GroupTable, "generators", prop)
+    group, registry = builtin_group_by_name("s4")
+    assert validate_group(group).ok and validate_irreps(group, registry).ok
+    assert tables == [group]
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(group_to_json(group, registry)))
+    assert cli.main(["group", "validate", "--group-file", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    assert len(tables) == 2 and tables[1] is not group

@@ -128,8 +128,8 @@ def test_sym_product_with_identity_slots():
     delta = delta_identity(group)
     a = random_element(group, np.random.default_rng(4))
     for n in (2, 3, 4):
-        result = sym_product([delta] * (n - 1) + [a])
-        np.testing.assert_allclose(result.values, a.values, atol=1e-12)
+        result = sym_product([delta.values] * (n - 1) + [a.values], GroupAlgebra(group))
+        np.testing.assert_allclose(result, a.values, atol=1e-12)
 
 
 def test_sym_product_matches_convolution_on_abelian():
@@ -139,7 +139,7 @@ def test_sym_product_matches_convolution_on_abelian():
     from oapoly import convolve
 
     np.testing.assert_allclose(
-        sym_product([f, g]).values, convolve(f, g).values, atol=1e-14
+        sym_product([f.values, g.values], GroupAlgebra(group)), convolve(f, g).values, atol=1e-14
     )
 
 
@@ -155,11 +155,11 @@ def test_sym_product_permutation_invariance_exhaustive():
     group, _ = builtin_group_by_name("s3")
     rng = np.random.default_rng(6)
     for n in (2, 3, 4):
-        xs = [random_element(group, rng) for _ in range(n)]
-        reference = sym_product(xs)
+        xs = [random_element(group, rng).values for _ in range(n)]
+        reference = sym_product(xs, GroupAlgebra(group))
         for order in itertools.permutations(range(n)):
-            shuffled = sym_product([xs[i] for i in order])
-            np.testing.assert_allclose(shuffled.values, reference.values, atol=1e-12)
+            shuffled = sym_product([xs[i] for i in order], GroupAlgebra(group))
+            np.testing.assert_allclose(shuffled, reference, atol=1e-12)
 
 
 def test_orthogonal_pairs_explicit_examples():
@@ -196,9 +196,8 @@ def test_orthogonal_pairs_matrix_domain():
 def test_orthogonal_pair_modes():
     group, registry = builtin_group_by_name("q8")
     domain = GroupAlgebra(group, registry)
-    for mode in ("cross", "within", "mixed"):
-        pairs = orthogonal_pairs(domain, 30, seed=9, mode=mode)
-        assert len(pairs) == 30
+    pairs = orthogonal_pairs(domain, 30, seed=9)
+    assert len(pairs) == 30
 
 
 def test_check_orthogonal_additivity_positive():
