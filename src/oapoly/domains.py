@@ -42,8 +42,10 @@ class AlgebraDomain:
         """Concatenated row-major blocks of sizes `dims` to coefficients, per row."""
         raise NotImplementedError
 
-    def random(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
+    def random(self, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+        """(*shape, dim) Gaussian coefficients; k rows are the vectors of k single draws."""
+        parts = rng.standard_normal((*shape, 2, self.dim))
+        return parts[..., 0, :] + 1j * parts[..., 1, :]
 
     def product_power(self, x: np.ndarray, n: int) -> np.ndarray:
         """x^n, the only repeated-product loop; batches over leading axes."""

@@ -27,9 +27,9 @@ operator, taking them back (dim_pi included). ``fourier`` and
 ``decompose`` are read off one transform, each block mapped back by its
 slice of the synthesis operator (``GroupAlgebra.from_blocks`` is the
 whole operator). Powers go through
-``AlgebraDomain.product_power``. A batch of B convolutions is
-gathered in row chunks of at most 32 MiB, so it holds B x N
-values plus one chunk, never the B x N x N gather. The caches are
+``AlgebraDomain.product_power``. A batch of B convolutions is gathered
+in row chunks of at most 1 MiB, a size that stays in cache, so it holds
+B x N values plus one chunk, never the B x N x N gather. The caches are
 built on first use, never when a group is set up.
 """
 
@@ -45,7 +45,7 @@ from .groups import GroupTable, Irrep, IrrepRegistry
 from .jsonio import pairs_to_vector, matrix_to_pairs, require_object, vector_to_pairs
 
 # Largest gathered chunk of a batched convolution, in bytes.
-_CHUNK_BYTES = 32 << 20
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +129,8 @@ def convolve_values(fv: np.ndarray, gv: np.ndarray, group: GroupTable) -> np.nda
     """Direct convolution on raw value arrays; batches over leading axes.
 
     One pair is one gather of g through the quotient table and one
-    mat-vec. A batch is gathered in row chunks of at most 32 MiB,
-    so its memory is the B x N operands and result plus one chunk.
+    mat-vec. A batch is gathered in row chunks of at most 1 MiB (at least
+    one row), so its memory is the B x N operands and result plus one chunk.
     """
     fv, gv = np.asarray(fv), np.asarray(gv)
     quotient, n = group.quotient, group.order

@@ -313,6 +313,22 @@ def test_batched_convolution_over_several_chunks_matches_reference(name):
     assert np.abs(convolve_values(fv, gv[0], group) - reference_convolution(fv, gv[0], group)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["s3", "q8", "s4", "z64", "d128", "z256", "z512"])
+def test_batched_convolution_rows_equal_single_pairs_exactly(name):
+    group, _ = builtin_group_by_name(name)
+    row_bytes = 16 * group.order**2
+    if name == "z512":
+        assert row_bytes > _CHUNK_BYTES  # one gathered row exceeds a chunk
+    rows = max(1, _CHUNK_BYTES // row_bytes)
+    rng = np.random.default_rng(group.order)
+    shape = (rows + 2, group.order)  # crosses a chunk boundary
+    fv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    batched = convolve_values(fv, gv, group)
+    for row in range(shape[0]):
+        assert np.array_equal(batched[row], convolve_values(fv[row], gv[row], group)), row
+
+
 def haar_unitary(rng, d):
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

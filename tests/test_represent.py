@@ -20,6 +20,7 @@ from oapoly import (
     verify_representation,
 )
 from oapoly.fourier import fourier
+from oapoly.polynomials import _unit_slot, polarize, tensor_of
 from oapoly.represent import linear_map_from_json, linear_map_to_json
 
 
@@ -290,3 +291,115 @@ def test_inhomogeneous_blackbox_rejected_by_every_route():
     lying = HomPoly(2, matrices, 1, lambda x: np.array([np.trace(matrices.product_power(x, 3).reshape(2, 2))]))
     with pytest.raises(HomogeneityViolation):
         phi_group(lying, seed=4)
+
+
+# ---------------------------------------------------------------------------
+# the batched probe gate against the per-probe loop it replaced
+
+
+def per_probe_gate(P, L, samples, seed, tol):
+    """The reference: one draw, one P call and one product power per probe."""
+    rng = np.random.default_rng(seed)
+    probes, worst = [], 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(P.domain.dim) + 1j * rng.standard_normal(P.domain.dim)
+        lhs = P(x)
+        rhs = L(P.domain.product_power(x, P.degree))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(lhs))))
+        probes.append(x)
+    return probes, {"max_residual": worst, "pass": worst <= tol, "samples": samples, "tol": tol}
+
+
+def unit_slot_candidate(P):
+    """phi_group's candidate map, before its gate."""
+    unit = P.domain.one()
+    scale = float(np.abs(unit).max())
+    matrix = _unit_slot(P, unit, scale * np.eye(P.domain.dim, dtype=np.complex128)) / scale
+    return LinearMap(P.domain, P.codomain_dim, matrix)
+
+
+def recording(P):
+    seen = []
+
+    def evaluate(x):
+        seen.append(x.copy())
+        return P(x)
+
+    return HomPoly(P.degree, P.domain, P.codomain_dim, evaluate), seen
+
+
+def gate_cases():
+    """(P, tol, expected verdict) for OA inputs and non-OA controls."""
+    rng = np.random.default_rng(2024)
+    cases = []
+
+    def case(label, P, tol, expected):
+        cases.append(pytest.param(P, tol, expected, id=label))
+
+    domains = {name: GroupAlgebra(*builtin_group_by_name(name)) for name in ("s3", "q8", "s4", "z64")}
+    domains["matrix3"] = MatrixAlgebra(3)
+    domains["pointwise5"] = PointwiseAlgebra((-2, -1, 0, 1, 2))
+    for name, domain in domains.items():
+        for n, m in ((2, 1), (3, 2)):
+            linear = rng.standard_normal((m, domain.dim)) + 1j * rng.standard_normal((m, domain.dim))
+            case(f"{name}-oa-n{n}", HomPoly.prototypical(linear, n, domain), 1e-9, True)
+        case(f"{name}-x1x2", HomPoly.from_tensor(2, domain, 1, {(1, 2): 1.0}), 1e-9, False)
+    for name in ("s3", "q8", "s4"):
+        group, registry = builtin_group_by_name(name)
+        case(f"{name}-trace-square", group_trace_square(group, registry), 1e-9, False)
+    matrices = domains["matrix3"]
+    squared = HomPoly(2, matrices, 1, lambda x: np.array([np.trace(x.reshape(3, 3)) ** 2]))
+    case("matrix3-trace-squared", squared, 1e-9, False)
+    linear = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
+    tensor = tensor_of(polarize(HomPoly.prototypical(linear, 2, domains["s3"])))
+    tensor[(1, 2)] = tensor[(1, 2)] + 1e-7
+    nudged = HomPoly.from_tensor(2, domains["s3"], 1, tensor)
+    case("s3-nudged-tol1e-9", nudged, 1e-9, False)
+    case("s3-nudged-tol1e-3", nudged, 1e-3, True)
+    return cases
+
+
+@pytest.mark.parametrize("P,tol,expected", gate_cases())
+def test_batched_gate_matches_the_per_probe_loop(P, tol, expected, monkeypatch):
+    L = unit_slot_candidate(P)
+    samples, seed = 200, 9
+    probes, reference = per_probe_gate(P, L, samples, seed, tol)
+    assert reference["pass"] is expected
+
+    shapes = []
+    product_power = P.domain.product_power
+
+    def spy(x, n):
+        shapes.append(np.shape(x))
+        return product_power(x, n)
+
+    monkeypatch.setattr(P.domain, "product_power", spy)
+    recorded, seen = recording(P)
+    report = verify_representation(recorded, L, samples=samples, seed=seed, tol=tol)
+
+    assert report["pass"] is reference["pass"]
+    # 1e-15 absolute below 1 (every passing gate), a few ulps above
+    assert abs(report["max_residual"] - reference["max_residual"]) <= 1e-15 * max(1.0, reference["max_residual"])
+    assert (report["samples"], report["tol"]) == (samples, tol)
+    assert len(seen) == samples and all(x.shape == (P.domain.dim,) for x in seen)
+    assert all(np.array_equal(x, y) for x, y in zip(seen, probes))
+    assert [s for s in shapes if len(s) != 1] == [(samples, P.domain.dim)]
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_probe_gate_needs_at_least_one_probe(samples):
+    group, registry = builtin_group_by_name("s3")
+    control = group_trace_square(group, registry)
+    for route in (phi_group, phi_group_blockwise):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            route(control, verify_samples=samples)
+    with pytest.raises(ValueError, match="samples >= 1"):
+        verify_representation(control, LinearMap(control.domain, 1, np.zeros((1, 6))), samples=samples)
+
+
+def test_gate_fails_on_a_non_finite_probe():
+    # the per-probe loop's max(worst, nan) kept 0.0 and passed this
+    domain = MatrixAlgebra(2)
+    P = HomPoly(2, domain, 1, lambda x: np.array([np.nan]))
+    report = verify_representation(P, LinearMap(domain, 1, np.zeros((1, 4))), samples=5)
+    assert not report["pass"]
