@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .domains import AlgebraDomain
 from .errors import HomogeneityViolation, NotOrthogonal
+from .fourier import _CHUNK_BYTES
 from .jsonio import complex_to_pair, json_field, pair_to_complex, pairs_to_vector
 
 MAX_DEGREE = 6  # polarization costs 2^n evaluations per tuple
@@ -41,9 +42,13 @@ HOMOGENEITY_TOL = 1e-9
 class HomPoly:
     """Degree-n homogeneous polynomial on an algebra domain.
 
-    The evaluator maps a coefficient vector to a codomain vector of
-    length `codomain_dim`. A dense symmetric coefficient tensor, when
-    available, is kept as a map from sorted multi-indices to values.
+    Calling P on a (..., dim) stack of coefficient vectors returns the
+    (..., m) stack of values, m = `codomain_dim`. The evaluators built by
+    `from_tensor` and `prototypical` evaluate the whole stack at once;
+    any other evaluator is a black box that maps one 1-D vector to its
+    value, and `__call__` feeds it the stack row by row. A dense
+    symmetric coefficient tensor, when available, is kept as a map from
+    sorted multi-indices to values.
     """
 
     degree: int
@@ -51,14 +56,21 @@ class HomPoly:
     codomain_dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     tensor: dict | None = None
+    # set by the in-tree constructors: the evaluator takes (..., dim) stacks
+    stacked: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.degree < 2:
             raise ValueError("homogeneous degree must be at least 2")
 
     def __call__(self, x) -> np.ndarray:
-        out = np.asarray(self.evaluator(np.asarray(x, dtype=np.complex128)))
-        return out.reshape(self.codomain_dim).astype(np.complex128)
+        x = np.asarray(x, dtype=np.complex128)
+        if self.stacked:
+            out = self.evaluator(x)
+        else:
+            rows = x.reshape(-1, x.shape[-1])
+            out = [np.reshape(self.evaluator(row), self.codomain_dim) for row in rows]
+        return np.reshape(out, (*x.shape[:-1], self.codomain_dim)).astype(np.complex128)
 
     @classmethod
     def from_tensor(cls, degree, domain, codomain_dim, tensor: dict) -> "HomPoly":
@@ -68,7 +80,9 @@ class HomPoly:
         there; evaluation weights every entry by the number of distinct
         permutations of its index tuple, as one gather of x through an
         (entries, n) index array and one product with the (entries, m)
-        weights.
+        weights. A stack is gathered in row chunks of at most
+        `_CHUNK_BYTES` (rows x entries x n complex values, at least one
+        row), so its memory is the stack plus one chunk.
         """
         idx = np.zeros((len(tensor), degree), dtype=np.intp)
         weights = np.zeros((len(tensor), codomain_dim), dtype=np.complex128)
@@ -83,11 +97,22 @@ class HomPoly:
             weights[row] = _distinct_permutations(index) * np.asarray(
                 value, dtype=np.complex128
             ).reshape(codomain_dim)
+        chunk_rows = max(1, _CHUNK_BYTES // (16 * degree * max(len(idx), 1)))
 
         def evaluate(x):
-            return np.prod(x[idx], axis=1) @ weights
+            flat = x.reshape(-1, domain.dim)
+            out = np.empty((len(flat), codomain_dim), dtype=np.complex128)
+            for start in range(0, len(flat), chunk_rows):
+                rows = flat[start : start + chunk_rows]
+                # reduced as (rows x entries, n) and weighted row by row, each row
+                # takes the products and sums of a single vector, bit for bit
+                terms = np.prod(rows[:, idx].reshape(-1, degree), axis=1).reshape(len(rows), 1, -1)
+                out[start : start + len(rows)] = np.matmul(terms, weights)[:, 0]
+            return out
 
-        return cls(degree, domain, codomain_dim, evaluate, tensor=dict(tensor))
+        P = cls(degree, domain, codomain_dim, evaluate, tensor=dict(tensor))
+        object.__setattr__(P, "stacked", True)
+        return P
 
     @classmethod
     def prototypical(cls, linear: np.ndarray, degree: int, domain: AlgebraDomain) -> "HomPoly":
@@ -95,9 +120,12 @@ class HomPoly:
         linear = np.atleast_2d(np.asarray(linear, dtype=np.complex128))
 
         def evaluate(x):
-            return linear @ domain.product_power(x, degree)
+            # one vector-matrix product per row, as for a single vector
+            return np.matmul(domain.product_power(x, degree)[..., None, :], linear.T)[..., 0, :]
 
-        return cls(degree, domain, linear.shape[0], evaluate)
+        P = cls(degree, domain, linear.shape[0], evaluate)
+        object.__setattr__(P, "stacked", True)
+        return P
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,20 +156,23 @@ def _distinct_permutations(index: tuple[int, ...]) -> int:
 
 def check_homogeneity(P: HomPoly, rng: np.random.Generator) -> float:
     """Probe P(lambda x) = lambda^n P(x) at HOMOGENEITY_PROBES random
-    points; raises when the relative residual exceeds HOMOGENEITY_TOL.
+    points, in two stacked calls of P; raises unless the relative
+    residual is at most HOMOGENEITY_TOL (a NaN residual raises too).
 
     Polarization silently corrupts non-homogeneous inputs, so black
     boxes are never trusted on their declared degree.
     """
-    worst = 0.0
-    for _ in range(HOMOGENEITY_PROBES):
-        x = P.domain.random(rng)
-        lam = complex(rng.standard_normal(), rng.standard_normal())
-        lhs = P(lam * x)
-        rhs = lam**P.degree * P(x)
-        residual = float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(rhs)))
-        worst = max(worst, residual)
-    if worst > HOMOGENEITY_TOL:
+    draws = [
+        (P.domain.random(rng), complex(rng.standard_normal(), rng.standard_normal()))
+        for _ in range(HOMOGENEITY_PROBES)
+    ]
+    xs = np.array([x for x, _ in draws])
+    lams = np.array([lam for _, lam in draws])[:, None]
+    lhs = P(lams * xs)
+    rhs = lams**P.degree * P(xs)
+    residuals = np.linalg.norm(lhs - rhs, axis=1) / (1.0 + np.linalg.norm(rhs, axis=1))
+    worst = float(residuals.max())
+    if not worst <= HOMOGENEITY_TOL:
         raise HomogeneityViolation(
             f"declared degree {P.degree} fails the homogeneity probe "
             f"(relative residual {worst:.3e})"
@@ -150,22 +181,17 @@ def check_homogeneity(P: HomPoly, rng: np.random.Generator) -> float:
 
 
 def polarize(P: HomPoly, seed: int = 0) -> SymMultilinear:
-    """The unique symmetric n-linear map whose diagonal is P."""
+    """The unique symmetric n-linear map whose diagonal is P; each
+    evaluation is one call of P on the stack of its 2^n signed sums."""
     n = P.degree
     if n > MAX_DEGREE:
         raise ValueError(f"polarization degree capped at {MAX_DEGREE}")
     check_homogeneity(P, np.random.default_rng(seed))
-    sign_patterns = [
-        (np.prod(signs), signs) for signs in itertools.product((1, -1), repeat=n)
-    ]
-    scale = 1.0 / (math.factorial(n) * 2**n)
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.complex128)
+    weights = signs.prod(axis=1) / (math.factorial(n) * 2**n)
 
     def evaluate(*xs):
-        total = np.zeros(P.codomain_dim, dtype=np.complex128)
-        for weight, signs in sign_patterns:
-            combo = sum(s * x for s, x in zip(signs, xs))
-            total += weight * P(combo)
-        return scale * total
+        return weights @ P(signs @ np.stack(xs))
 
     return SymMultilinear(n, P.domain, P.codomain_dim, evaluate)
 
@@ -175,13 +201,15 @@ def _unit_slot(P: HomPoly, unit: np.ndarray, directions: np.ndarray) -> np.ndarr
 
     s -> P(u + s d) has degree n with s^1 coefficient n phi(d, u, ..., u);
     the coefficient is read off the n + 1 values at the (n+1)-th roots
-    of unity. Terms above degree n would alias into it, so callers
-    probe homogeneity first unless P is homogeneous by construction.
+    of unity, one stacked call of P per root on the (rows, dim) stack
+    u + w d. `unit` is one vector or one per row. Terms above degree n
+    would alias into the coefficient, so callers probe homogeneity first
+    unless P is homogeneous by construction.
     """
     n = P.degree
     roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    columns = [sum(w.conjugate() * P(unit + w * d) for w in roots) for d in directions]
-    return np.stack(columns, axis=1) / (n * (n + 1))
+    total = sum(w.conjugate() * P(unit + w * directions) for w in roots)
+    return total.T / (n * (n + 1))
 
 
 def tensor_of(phi: SymMultilinear) -> dict:
@@ -306,23 +334,24 @@ def check_orthogonal_additivity(P: HomPoly, pairs, tol: float = 1e-9) -> OrthoAd
     """Test P(x+y) = P(x) + P(y) on two-sided zero-product pairs.
 
     Every supplied pair is validated; a pair that is not orthogonal
-    raises instead of being silently scored. The pass criterion is
-    relative: residual <= tol * (1 + |P(x)| + |P(y)|) for every pair.
+    raises instead of being silently scored. P is called three times,
+    on the stacks of all x, all y and all x + y. The pass criterion is
+    relative: residual <= tol * (1 + |P(x)| + |P(y)|) for every pair,
+    and a non-finite residual fails its pair. The worst pair is the
+    first non-finite one, else the first of largest residual.
     """
-    worst = 0.0
-    worst_index = None
-    passed = True
     pairs = list(pairs)
-    for i, (x, y) in enumerate(pairs):
-        x = np.asarray(x, dtype=np.complex128)
-        y = np.asarray(y, dtype=np.complex128)
+    xs = np.array([x for x, _ in pairs], dtype=np.complex128).reshape(len(pairs), P.domain.dim)
+    ys = np.array([y for _, y in pairs], dtype=np.complex128).reshape(len(pairs), P.domain.dim)
+    for x, y in zip(xs, ys):
         _require_orthogonal(P.domain, x, y)
-        px, py = P(x), P(y)
-        residual = float(np.linalg.norm(P(x + y) - px - py))
-        if residual > worst:
-            worst, worst_index = residual, i
-        if residual > tol * (1.0 + np.linalg.norm(px) + np.linalg.norm(py)):
-            passed = False
+    px, py = P(xs), P(ys)
+    residuals = np.linalg.norm(P(xs + ys) - px - py, axis=1)
+    passed = bool(np.all(residuals <= tol * (1.0 + np.linalg.norm(px, axis=1) + np.linalg.norm(py, axis=1))))
+    # NaN ranks above everything, so argmax finds the first non-finite pair
+    ranked = np.where(np.isfinite(residuals), residuals, np.inf)
+    worst_index = int(ranked.argmax()) if ranked.size and ranked.max() > 0.0 else None
+    worst = 0.0 if worst_index is None else float(residuals[worst_index])
     return OrthoAdditivityReport(passed, len(pairs), worst, worst_index, tol)
 
 

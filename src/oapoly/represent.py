@@ -130,12 +130,11 @@ def phi_group_blockwise(
     registry = domain.require_registry()
 
     check_homogeneity(P, np.random.default_rng(seed))
+    # each matrix unit (a row of synthesis.T) beside the unit e_pi of its ideal
     units = [central_idempotent(domain.group, rep).values for rep in registry.irreps]
-    on_blocks = [
-        _unit_slot(P, e_pi, registry.synthesis[:, sl].T)
-        for e_pi, sl in zip(units, registry.block_slices)
-    ]
-    L = LinearMap(domain, P.codomain_dim, np.concatenate(on_blocks, axis=1) @ registry.analysis)
+    unit_rows = np.repeat(units, [d * d for d in registry.dims], axis=0)
+    on_blocks = _unit_slot(P, unit_rows, registry.synthesis.T)
+    L = LinearMap(domain, P.codomain_dim, on_blocks @ registry.analysis)
     return _probe_verify(P, L, verify_samples, seed + 1, tol)
 
 
@@ -143,8 +142,9 @@ def verify_representation(
     P: HomPoly, L: LinearMap, samples: int = 200, seed: int = 0, tol: float = 1e-9
 ) -> dict:
     """Report max over random probes of |P(f) - L(f^n)| / (1 + |P(f)|);
-    the one probe verifier, also behind every extraction. P is called once
-    per probe; L(f^n) is one batched product power for all probes."""
+    the one probe verifier, also behind every extraction. P is one call
+    on the stack of all probes (a black box still sees them one by one,
+    see HomPoly); L(f^n) is one batched product power for all probes."""
     if L.codomain_dim != P.codomain_dim:
         raise DimensionMismatch(
             f"linear map codomain_dim {L.codomain_dim} != polynomial codomain_dim {P.codomain_dim}"
@@ -152,7 +152,7 @@ def verify_representation(
     if samples < 1:
         raise ValueError(f"the probe gate needs samples >= 1, got {samples}")
     xs = P.domain.random(np.random.default_rng(seed), (samples,))
-    lhs = np.array([P(x) for x in xs])
+    lhs = P(xs)
     rhs = P.domain.product_power(xs, P.degree) @ L.matrix.T
     residuals = np.linalg.norm(lhs - rhs, axis=1) / (1.0 + np.linalg.norm(lhs, axis=1))
     worst = float(residuals.max())

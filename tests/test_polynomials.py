@@ -12,17 +12,22 @@ from oapoly import (
     HomogeneityViolation,
     MatrixAlgebra,
     NotOrthogonal,
+    PointwiseAlgebra,
     builtin_group_by_name,
     central_idempotent,
     check_orthogonal_additivity,
     delta_identity,
     orthogonal_pairs,
+    phi_group,
+    phi_group_blockwise,
     polarize,
     random_element,
     sym_product,
     tensor_of,
+    verify_representation,
 )
-from oapoly.polynomials import poly_from_json, poly_to_json
+from oapoly.fourier import _CHUNK_BYTES
+from oapoly.polynomials import _unit_slot, check_homogeneity, poly_from_json, poly_to_json
 
 
 def scalar_poly(degree, func):
@@ -303,3 +308,128 @@ def test_poly_json_round_trip():
     for _ in range(5):
         x = domain.random(rng)
         np.testing.assert_allclose(loaded(x), P(x), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation: one P call per stack, black boxes row by row
+
+
+def assert_rows_agree(stacked, rows):
+    assert stacked.shape == rows.shape
+    assert np.abs(stacked - rows).max() <= 1e-15 * np.abs(rows).max()
+
+
+@pytest.mark.parametrize("degree,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_stacked_tensor_evaluation_equals_row_by_row(degree, m):
+    rng = np.random.default_rng(10 * degree + m)
+    group, registry = builtin_group_by_name("d4")
+    domain = GroupAlgebra(group, registry)
+    tensor = {
+        index: rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for index in itertools.combinations_with_replacement(range(8), degree)
+    }
+    P = HomPoly.from_tensor(degree, domain, m, tensor)
+    # a stack two and a half chunks long
+    chunk_rows = _CHUNK_BYTES // (16 * degree * len(tensor))
+    stack = domain.random(rng, (5 * chunk_rows // 2,))
+    assert_rows_agree(P(stack), np.stack([P(row) for row in stack]))
+    assert P(stack[:6].reshape(2, 3, 8)).shape == (2, 3, m)
+
+
+@pytest.mark.parametrize("name", ["s4", "matrix3", "pointwise5"])
+def test_stacked_prototypical_evaluation_equals_row_by_row(name):
+    rng = np.random.default_rng(len(name))
+    domain = {
+        "s4": GroupAlgebra(*builtin_group_by_name("s4")),
+        "matrix3": MatrixAlgebra(3),
+        "pointwise5": PointwiseAlgebra((-2, -1, 0, 1, 2)),
+    }[name]
+    for n in (2, 3):
+        linear = rng.standard_normal((2, domain.dim)) + 1j * rng.standard_normal((2, domain.dim))
+        P = HomPoly.prototypical(linear, n, domain)
+        stack = domain.random(rng, (4, 5))
+        rows = np.stack([P(row) for row in stack.reshape(20, domain.dim)])
+        assert_rows_agree(P(stack), rows.reshape(4, 5, 2))
+
+
+def test_a_black_box_only_ever_receives_single_vectors():
+    group, registry = builtin_group_by_name("s3")
+    domain = GroupAlgebra(group, registry)
+    rng = np.random.default_rng(14)
+    inner = HomPoly.prototypical(rng.standard_normal((2, 6)), 2, domain)
+    shapes = []
+
+    def evaluate(x):
+        shapes.append(x.shape)
+        return inner.evaluator(x)
+
+    P = HomPoly(2, domain, 2, evaluate)
+    L = phi_group(P, verify_samples=7)
+    phi_group_blockwise(P, verify_samples=7)
+    verify_representation(P, L, samples=7)
+    check_orthogonal_additivity(P, orthogonal_pairs(domain, 9, seed=1))
+    tensor_of(polarize(P))
+    _unit_slot(P, domain.one(), np.eye(6))
+    assert len(shapes) > 100 and set(shapes) == {(6,)}
+    assert P(np.ones((0, 6))).shape == (0, 2)
+
+
+def per_pair_check(P, pairs, tol):
+    """The reference: three P calls per pair, one pair at a time."""
+    worst, passed = 0.0, True
+    for x, y in pairs:
+        px, py = P(x), P(y)
+        residual = float(np.linalg.norm(P(x + y) - px - py))
+        worst = max(worst, residual)
+        passed = passed and bool(residual <= tol * (1.0 + np.linalg.norm(px) + np.linalg.norm(py)))
+    return passed, worst
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "matrix3"])
+def test_stacked_pair_check_matches_the_per_pair_loop(name):
+    rng = np.random.default_rng(len(name))
+    if name == "matrix3":
+        domain = MatrixAlgebra(3)
+        control = HomPoly(2, domain, 1, lambda x: np.array([np.trace(x.reshape(3, 3)) ** 2]))
+    else:
+        domain = GroupAlgebra(*builtin_group_by_name(name))
+        control = HomPoly(2, domain, 1, lambda x: np.array([x[1] * x[2]]))
+    linear = rng.standard_normal((2, domain.dim)) + 1j * rng.standard_normal((2, domain.dim))
+    pairs = orthogonal_pairs(domain, 60, seed=3)
+    for P in (HomPoly.prototypical(linear, 3, domain), control):
+        report = check_orthogonal_additivity(P, pairs)
+        passed, worst = per_pair_check(P, pairs, 1e-9)
+        assert report.passed is passed
+        assert abs(report.max_residual - worst) <= 1e-15 * max(worst, 1e-300)
+
+
+def nan_poly(domain):
+    return HomPoly(2, domain, 1, lambda x: np.array([np.nan]))
+
+
+def test_pair_check_fails_a_nan_evaluator():
+    domain = MatrixAlgebra(2)
+    report = check_orthogonal_additivity(nan_poly(domain), orthogonal_pairs(domain, 20, seed=0))
+    assert not report.passed
+    assert report.worst_index == 0 and np.isnan(report.max_residual)
+
+
+def test_pair_check_points_at_the_first_non_finite_pair():
+    # trace(a)^2 misses by 2 on the first pair; the next two overflow to NaN
+    squared = matrix_trace_squared()
+    P = HomPoly(2, squared.domain, 1, lambda x: squared(x) if np.abs(x).max() < 10 else np.array([np.nan]))
+    report = check_orthogonal_additivity(P, [(E11, E22), (E11, 100 * E22), (100 * E11, E22)])
+    assert not report.passed
+    assert report.worst_index == 1 and np.isnan(report.max_residual)
+
+
+def test_homogeneity_probe_rejects_a_nan_evaluator():
+    domain = MatrixAlgebra(2)
+    with pytest.raises(HomogeneityViolation, match="nan"):
+        check_homogeneity(nan_poly(domain), np.random.default_rng(0))
+    with pytest.raises(HomogeneityViolation):
+        phi_group(nan_poly(domain))
+    group_domain = GroupAlgebra(*builtin_group_by_name("s3"))
+    for route in (phi_group, phi_group_blockwise):
+        with pytest.raises(HomogeneityViolation):
+            route(nan_poly(group_domain))

@@ -243,6 +243,56 @@ def test_each_route_spends_n_plus_one_evaluations_per_basis_element(n):
     assert len(calls) == 9 * (n + 1) + homogeneity + probes
 
 
+def stacked_counting(P):
+    """P itself, its stacked evaluator wrapped to count calls."""
+    calls, inner = [], P.evaluator
+
+    def evaluate(x):
+        calls.append(x.shape)
+        return inner(x)
+
+    object.__setattr__(P, "evaluator", evaluate)
+    return P, calls
+
+
+@pytest.mark.parametrize("build", ["prototypical", "tensor"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_stacked_polynomial_is_called_once_per_root_and_per_check(build, n):
+    rng = np.random.default_rng(n)
+    for name in ("s3", "s4"):
+        domain = GroupAlgebra(*builtin_group_by_name(name))
+        linear = rng.standard_normal((2, domain.dim)) + 1j * rng.standard_normal((2, domain.dim))
+        P = HomPoly.prototypical(linear, n, domain)
+        if build == "tensor":
+            P = HomPoly.from_tensor(n, domain, 2, tensor_of(polarize(P)))
+        for route in (phi_group, phi_group_blockwise):
+            for samples in (1, 50):
+                P, calls = stacked_counting(P)
+                assert np.abs(route(P, verify_samples=samples).matrix - linear).max() <= 1e-11
+                # n + 1 roots, two homogeneity stacks, one probe stack
+                assert len(calls) == (n + 1) + 2 + 1, (name, route.__name__, samples)
+                assert calls[-1] == (samples, domain.dim)
+
+
+def test_tensor_extraction_memory_stays_bounded():
+    # the s4 cubic tensor has 2,600 entries: gathering the 200 probes in one
+    # piece takes 200 x 2,600 x 3 complex values, about 25 MB
+    group, registry = builtin_group_by_name("s4")
+    domain = GroupAlgebra(group, registry)
+    rng = np.random.default_rng(24)
+    linear = rng.standard_normal((1, 24)) + 1j * rng.standard_normal((1, 24))
+    P = HomPoly.from_tensor(3, domain, 1, tensor_of(polarize(HomPoly.prototypical(linear, 3, domain))))
+    assert len(P.tensor) == 2600
+    tracemalloc.start()
+    try:
+        L = phi_group(P, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(L.matrix - linear).max() <= 1e-11
+    assert peak < 4 * 2**20
+
+
 def test_phi_group_needs_only_a_unit():
     # the unit slot uses no irrep registry and no pair suite
     rng = np.random.default_rng(17)
