@@ -25,18 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import GroupAlgebra
-from .fourier import (
-    AlgElement,
-    convolve,
-    delta_identity,
-    element_from_json,
-    fourier,
-    inverse_fourier,
-    FourierSide,
-    l1_norm,
-)
-from .groups import GroupTable, IrrepRegistry
+from .domains import BlockAlgebra, GroupAlgebra
+from .fourier import AlgElement, convolve, delta_identity, element_from_json, fourier_flat, l1_norm
+from .groups import GroupTable, IrrepRegistry, block_runs
 from .jsonio import vector_to_pairs
 from .polynomials import sym_product
 
@@ -179,29 +170,23 @@ def _is_idempotent(a: AlgElement) -> bool:
     return l1_norm(convolve(a, a) - a) <= 1e-12 * max(1.0, l1_norm(a))
 
 
-def _block_root_parts(
-    a: AlgElement, n: int, registry: IrrepRegistry, per_ideal: bool
-) -> list[AlgElement] | None:
-    """Parts via principal n-th roots of the Fourier blocks; None when the
-    eigendecomposition route is numerically untrustworthy."""
-    side = fourier(a, registry)
-    roots = []
-    for block in side.blocks:
+def _block_root_parts(a: AlgElement, n: int, registry: IrrepRegistry) -> tuple[list, list] | None:
+    """([global part], per-ideal parts) from the roots V diag(w^(1/n)) V^-1 of the Fourier
+    blocks, one stacked eig and inv per block size; per-ideal parts skip roots below 1e-14.
+    None, dropping both, on a LinAlgError or a non-finite root."""
+    flat = fourier_flat(a, registry)
+    roots = np.empty_like(flat)
+    for d, pos in block_runs(registry.dims):
         try:
-            w, v = np.linalg.eig(block)
-            root = v @ np.diag(np.power(w.astype(complex), 1.0 / n)) @ np.linalg.inv(v)
+            w, v = np.linalg.eig(flat[pos].reshape(-1, d, d))
+            roots[pos] = ((v * np.power(w, 1.0 / n)[..., None, :]) @ np.linalg.inv(v)).reshape(pos.shape)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(root)):
-            return None
-        roots.append(root)
-    if per_ideal:
-        return [
-            AlgElement(a.group, registry.synthesis[:, sl] @ root.reshape(-1))
-            for sl, root in zip(registry.block_slices, roots)
-            if np.abs(root).max() >= 1e-14
-        ]
-    return [inverse_fourier(FourierSide(registry, tuple(roots)))]
+    if not np.all(np.isfinite(roots)):
+        return None
+    kept = [sl for sl in registry.block_slices if np.abs(roots[sl]).max() >= 1e-14]
+    per_ideal = [AlgElement(a.group, registry.synthesis[:, sl] @ roots[sl]) for sl in kept]
+    return [AlgElement(a.group, registry.synthesis @ roots)], per_ideal
 
 
 def pn_bound(
@@ -217,8 +202,8 @@ def pn_bound(
     expansion of the symmetrized certificate (always available, bound
     at most n^n / n! times |a|), a single-part certificate when a is
     convolution-idempotent, and, when a registry is supplied, principal
-    n-th roots of the Fourier blocks (both as one global part and one
-    part per ideal). Optional refinement perturbs the symmetrized side
+    n-th roots of the Fourier blocks, computed once for one global part
+    and one part per ideal. Optional refinement perturbs the symmetrized side
     by central units, accepting improvements; off by default. The zero
     element gets the empty certificate. The returned bound carries the
     chosen certificate's report as ``verification``.
@@ -231,12 +216,8 @@ def pn_bound(
         if _is_idempotent(a):
             candidates.append(PnCertificate(a, (a,), n, l1_norm(a) ** n))
         if registry is not None and registry.is_complete():
-            for per_ideal in (False, True):
-                parts = _block_root_parts(a, n, registry, per_ideal)
-                if parts is None:
-                    continue
-                bound = float(sum(l1_norm(p) ** n for p in parts))
-                candidates.append(PnCertificate(a, tuple(parts), n, bound))
+            for parts in _block_root_parts(a, n, registry) or ():
+                candidates.append(PnCertificate(a, tuple(parts), n, float(sum(l1_norm(p) ** n for p in parts))))
             if refine_steps > 0:
                 candidates.extend(_refine_by_central_units(a, n, registry, refine_steps, seed))
 
@@ -259,16 +240,17 @@ def _refine_by_central_units(
     rng = np.random.default_rng(seed)
     group = registry.group
     delta = delta_identity(group)
+    # c = sum_pi s_pi e_pi: the identity blocks, each scaled by its scalar
+    one, sizes = BlockAlgebra(registry.dims).one(), [d * d for d in registry.dims]
     improving = []
     best_bound = np.inf
     for _ in range(steps):
         scalars = 1.0 + 0.25 * (rng.standard_normal(len(registry.irreps)))
         if np.any(np.abs(scalars) < 1e-3):
             continue
-        blocks = [s * np.eye(rep.dim) for s, rep in zip(scalars, registry.irreps)]
-        inverse_blocks = [np.eye(rep.dim) / s for s, rep in zip(scalars, registry.irreps)]
-        c = inverse_fourier(FourierSide(registry, tuple(blocks)))
-        c_inv = inverse_fourier(FourierSide(registry, tuple(inverse_blocks)))
+        repeated = np.repeat(scalars, sizes)
+        c = AlgElement(group, registry.synthesis @ (one * repeated))
+        c_inv = AlgElement(group, registry.synthesis @ (one / repeated))
         factors = tuple([c] + [delta] * (n - 2) + [convolve(a, c_inv)])
         bound = float(math.prod(l1_norm(f) for f in factors))
         if bound < best_bound:

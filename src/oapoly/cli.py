@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import certificates, circle, represent
 from .domains import GroupAlgebra, MatrixAlgebra, PointwiseAlgebra
 from .errors import OapolyError, VerificationFailure, HomogeneityViolation
@@ -25,7 +27,7 @@ from .groups import (
     validate_group,
     validate_irreps,
 )
-from .jsonio import canonical_dumps, json_field, int_array, require_object, rows_to_csv
+from .jsonio import canonical_dumps, finite_or_null, json_field, int_array, require_object, rows_to_csv
 from .polynomials import check_orthogonal_additivity, orthogonal_pairs, poly_from_json
 from .represent import linear_map_from_json, linear_map_to_json
 from .selftest import run_selftest
@@ -194,7 +196,7 @@ def _cmd_represent_extract(args) -> int:
     except (VerificationFailure, HomogeneityViolation) as exc:
         payload = {"pass": False, "error": str(exc), **oadd}
         if isinstance(exc, VerificationFailure) and exc.max_residual is not None:
-            payload["max_residual"] = exc.max_residual
+            payload["max_residual"] = finite_or_null(exc.max_residual)
         _emit(args, payload)
         return 1
     verify = linear.verification
@@ -214,7 +216,7 @@ def _cmd_represent_verify(args) -> int:
     report = represent.verify_representation(
         poly, linear, samples=args.samples, seed=args.seed, tol=args.tol
     )
-    _emit(args, report)
+    _emit(args, dict(report, max_residual=finite_or_null(report["max_residual"])))
     return 0 if report["pass"] else 1
 
 
@@ -408,7 +410,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
     except MATH_FAILURE_ERRORS as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GroupMismatch, IncompleteRegistry
 from .fourier import convolve_values, delta_identity
-from .groups import GroupTable, IrrepRegistry
+from .groups import GroupTable, IrrepRegistry, block_runs
 
 
 class AlgebraDomain:
@@ -64,18 +64,12 @@ class BlockAlgebra(AlgebraDomain):
     def __init__(self, dims: tuple[int, ...]):
         self.dims = tuple(int(d) for d in dims)
         self.dim = sum(d * d for d in self.dims)
-        # per block size, the coefficient positions of its blocks as (count, d*d)
-        starts = np.cumsum([0] + [d * d for d in self.dims])
-        self._runs = [
-            (d, np.array([start + np.arange(d * d) for start, e in zip(starts, self.dims) if e == d]))
-            for d in sorted(set(self.dims))
-        ]
 
     def mul(self, x, y):
         x, y = np.asarray(x), np.asarray(y)
         lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
         out = np.empty((*lead, self.dim), dtype=np.result_type(x, y))
-        for d, pos in self._runs:
+        for d, pos in block_runs(self.dims):
             xb = x[..., pos].reshape(*x.shape[:-1], len(pos), d, d)
             yb = y[..., pos].reshape(*y.shape[:-1], len(pos), d, d)
             # 1 x 1 blocks multiply as scalars, bit for bit the pointwise product

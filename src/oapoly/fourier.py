@@ -41,7 +41,7 @@ from numbers import Number
 import numpy as np
 
 from .errors import BadExponent, GroupMismatch, IncompleteRegistry
-from .groups import GroupTable, Irrep, IrrepRegistry
+from .groups import GroupTable, Irrep, IrrepRegistry, block_runs
 from .jsonio import pairs_to_vector, matrix_to_pairs, require_object, vector_to_pairs
 
 # Largest gathered chunk of a batched convolution, in bytes.
@@ -160,10 +160,15 @@ def power(f: AlgElement, n: int) -> AlgElement:
     return AlgElement(f.group, GroupAlgebra(f.group).product_power(f.values, n))
 
 
-def fourier(f: AlgElement, registry: IrrepRegistry) -> FourierSide:
+def fourier_flat(f: AlgElement, registry: IrrepRegistry) -> np.ndarray:
+    """The Fourier blocks of f, concatenated row-major: one analysis matmul."""
     if registry.group is not f.group:
         raise GroupMismatch("registry belongs to a different group")
-    flat = registry.analysis @ f.values
+    return registry.analysis @ f.values
+
+
+def fourier(f: AlgElement, registry: IrrepRegistry) -> FourierSide:
+    flat = fourier_flat(f, registry)
     return FourierSide(
         registry,
         tuple(flat[sl].reshape(rep.dim, rep.dim) for rep, sl in zip(registry.irreps, registry.block_slices)),
@@ -209,7 +214,8 @@ def banach_norm(
     which: "l1", "linf", "lp" (needs p >= 1), "ag" (sum of dim * trace
     norms of the Fourier blocks), or "sp" (needs p >= 1; L1 norm plus
     the dim-weighted Schatten-p aggregate of the blocks). "ag" and "sp"
-    need a complete registry. Certificates always use "l1".
+    need a complete registry; their singular values come from one
+    stacked SVD per distinct block size. Certificates always use "l1".
     """
     if which == "l1":
         return l1_norm(f)
@@ -222,19 +228,16 @@ def banach_norm(
     if which in ("ag", "sp"):
         if registry is None or not registry.is_complete():
             raise IncompleteRegistry(f"{which} norm needs a complete registry")
-        side = fourier(f, registry)
-        if which == "ag":
-            total = 0.0
-            for rep, block in zip(registry.irreps, side.blocks):
-                total += rep.dim * np.linalg.svd(block, compute_uv=False).sum()
-            return float(total)
-        if p is None or p < 1:
+        if which == "sp" and (p is None or p < 1):
             raise BadExponent(f"sp norm needs p >= 1, got {p}")
-        total = 0.0
-        for rep, block in zip(registry.irreps, side.blocks):
-            sv = np.linalg.svd(block, compute_uv=False)
-            total += rep.dim * float((sv**p).sum())
-        return l1_norm(f) + float(total ** (1.0 / p))
+        flat = fourier_flat(f, registry)
+        runs = [
+            (d, np.linalg.svd(flat[pos].reshape(-1, d, d), compute_uv=False))
+            for d, pos in block_runs(registry.dims)
+        ]
+        if which == "ag":
+            return float(sum(d * sv.sum() for d, sv in runs))
+        return l1_norm(f) + float(sum(d * (sv**p).sum() for d, sv in runs) ** (1.0 / p))
     raise BadExponent(f"unknown norm selector {which!r}")
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +40,18 @@ MAX_LISTED = 20
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+@lru_cache(maxsize=64)
+def block_runs(dims: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
+    """Blocks grouped by size: per distinct d in ``dims``, ascending, the
+    read-only (count, d*d) positions of its blocks in the concatenated
+    row-major blocks, so ``flat[pos].reshape(-1, d, d)`` stacks them."""
+    starts = np.cumsum([0] + [d * d for d in dims])
+    return tuple(
+        (d, _readonly(np.array([start + np.arange(d * d) for start, e in zip(starts, dims) if e == d])))
+        for d in sorted(set(dims))
+    )
 
 
 @dataclass(frozen=True, eq=False)

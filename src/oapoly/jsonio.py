@@ -59,6 +59,11 @@ def canonical_dumps(obj) -> str:
     return "".join(out)
 
 
+def finite_or_null(x: float) -> float | None:
+    """A check's residual for its report: non-finite (overflow) is null, and fails the check."""
+    return x if math.isfinite(x) else None
+
+
 def complex_to_pair(z) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]

@@ -26,7 +26,7 @@ import numpy as np
 from .domains import AlgebraDomain
 from .errors import HomogeneityViolation, NotOrthogonal
 from .fourier import _CHUNK_BYTES
-from .jsonio import complex_to_pair, json_field, pair_to_complex, pairs_to_vector
+from .jsonio import complex_to_pair, finite_or_null, json_field, pair_to_complex, pairs_to_vector
 
 MAX_DEGREE = 6  # polarization costs 2^n evaluations per tuple
 
@@ -324,7 +324,7 @@ class OrthoAdditivityReport:
         return {
             "passed": self.passed,
             "pair_count": self.pair_count,
-            "max_residual": self.max_residual,
+            "max_residual": finite_or_null(self.max_residual),
             "worst_index": self.worst_index,
             "tol": self.tol,
         }
@@ -347,7 +347,8 @@ def check_orthogonal_additivity(P: HomPoly, pairs, tol: float = 1e-9) -> OrthoAd
         _require_orthogonal(P.domain, x, y)
     px, py = P(xs), P(ys)
     residuals = np.linalg.norm(P(xs + ys) - px - py, axis=1)
-    passed = bool(np.all(residuals <= tol * (1.0 + np.linalg.norm(px, axis=1) + np.linalg.norm(py, axis=1))))
+    bound = tol * (1.0 + np.linalg.norm(px, axis=1) + np.linalg.norm(py, axis=1))
+    passed = bool(np.all(np.isfinite(residuals) & (residuals <= bound)))
     # NaN ranks above everything, so argmax finds the first non-finite pair
     ranked = np.where(np.isfinite(residuals), residuals, np.inf)
     worst_index = int(ranked.argmax()) if ranked.size and ranked.max() > 0.0 else None

@@ -18,12 +18,14 @@ from oapoly import (
 )
 import oapoly.certificates as certificates
 from oapoly.certificates import (
+    CertificateReport,
     _block_root_parts,
     certificate_from_json,
     certificate_to_json,
     pn_from_sn,
 )
-from oapoly.fourier import FourierSide, inverse_fourier
+from oapoly.fourier import AlgElement, FourierSide, fourier, inverse_fourier
+from oapoly.groups import Irrep, IrrepRegistry
 
 
 def block_element(registry, index, matrix):
@@ -96,8 +98,8 @@ def test_pn_bound_verifies_cheapest_first_and_stops(name, monkeypatch):
     n = 3
     # every route pn_bound tries for a random element, in its order
     candidates = [pn_from_sn(sn_bound(a, n).certificate)]
-    for per_ideal in (False, True):
-        parts = tuple(_block_root_parts(a, n, registry, per_ideal))
+    for parts in _block_root_parts(a, n, registry):
+        parts = tuple(parts)
         bound = float(sum(l1_norm(p) ** n for p in parts))
         candidates.append(PnCertificate(a, parts, n, bound))
     passed = [verify_certificate(c).passed for c in candidates]
@@ -128,8 +130,8 @@ def test_pn_bound_refinement_verifies_each_candidate_at_most_once(name, monkeypa
     n, steps, seed = 3, 3, 5
     # brute force: every candidate pn_bound builds, all verified, cheapest kept
     candidates = [pn_from_sn(sn_bound(a, n).certificate)]
-    for per_ideal in (False, True):
-        parts = tuple(_block_root_parts(a, n, registry, per_ideal))
+    for parts in _block_root_parts(a, n, registry):
+        parts = tuple(parts)
         bound = float(sum(l1_norm(p) ** n for p in parts))
         candidates.append(PnCertificate(a, parts, n, bound))
     refined = certificates._refine_by_central_units(a, n, registry, steps, seed)
@@ -276,3 +278,159 @@ def test_certificate_json_takes_only_the_l1_norm():
     for other in ("linf", "lp:2", "lp", None):
         with pytest.raises(ValueError, match="norm"):
             certificate_from_json(dict(doc, norm=other), group)
+
+
+# ---------------------------------------------------------------------------
+# stacked block roots and central units against the per-block loops they replace
+
+KERNEL_GROUPS = ["q8", "s4", "d8", "d16", "z32", "s4-haar"]
+
+
+def kernel_registry(name):
+    """A builtin group and registry; "s4-haar" is s4 with each irrep in the basis of a Haar unitary."""
+    if not name.endswith("-haar"):
+        return builtin_group_by_name(name)
+    group, registry = builtin_group_by_name(name.removesuffix("-haar"))
+    rng = np.random.default_rng(41)
+    irreps = []
+    for rep in registry.irreps:
+        q, r = np.linalg.qr(rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim)))
+        v = q * (np.diag(r) / np.abs(np.diag(r)))
+        irreps.append(Irrep(rep.label, rep.dim, v @ rep.matrices @ v.conj().T))
+    return group, IrrepRegistry(group, tuple(irreps))
+
+
+def reference_roots(a, n, registry):
+    """The per-block eig/inv loop the stacked roots replace: the root blocks,
+    the global part and the per-ideal parts, or None."""
+    roots = []
+    for block in fourier(a, registry).blocks:
+        try:
+            w, v = np.linalg.eig(block)
+            root = v @ np.diag(np.power(w.astype(complex), 1.0 / n)) @ np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(root)):
+            return None
+        roots.append(root)
+    whole = inverse_fourier(FourierSide(registry, tuple(roots))).values
+    per_ideal = [
+        registry.synthesis[:, sl] @ root.reshape(-1)
+        for sl, root in zip(registry.block_slices, roots)
+        if np.abs(root).max() >= 1e-14
+    ]
+    return roots, [whole], per_ideal
+
+
+def assert_relative(got, want, rtol=1e-13):
+    assert np.abs(np.asarray(got) - np.asarray(want)).max() <= rtol * np.abs(want).max()
+
+
+def every_candidate(a, n, registry, monkeypatch, **kwargs):
+    """Every certificate pn_bound builds, collected by a verifier that rejects them all."""
+    seen = []
+
+    def rejecting(cert):
+        seen.append(cert)
+        return CertificateReport(False, 1.0, 1.0)
+
+    monkeypatch.setattr(certificates, "verify_certificate", rejecting)
+    with pytest.raises(ValueError, match="no candidate"):
+        pn_bound(a, n, registry, **kwargs)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_stacked_block_roots_match_the_per_block_loop(name, n, monkeypatch):
+    group, registry = kernel_registry(name)
+    a = random_element(group, np.random.default_rng(31))
+    roots, *want = reference_roots(a, n, registry)
+    got = _block_root_parts(a, n, registry)
+    for block, root in zip(fourier(got[0][0], registry).blocks, roots):
+        assert_relative(block, root)
+    claimed = {len(c.parts): c for c in every_candidate(a, n, registry, monkeypatch)}
+    assert 2**n in claimed and len(claimed) == 3  # the polarization expansion and the two root candidates
+    for got_parts, want_parts in zip(got, want):
+        assert len(got_parts) == len(want_parts)
+        for part, expected in zip(got_parts, want_parts):
+            assert_relative(part.values, expected)
+        cert = claimed[len(want_parts)]
+        for part, expected in zip(cert.parts, want_parts):
+            assert_relative(part.values, expected)
+        want_bound = sum(l1_norm(AlgElement(group, p)) ** n for p in want_parts)
+        assert abs(cert.claimed_bound - want_bound) <= 1e-13 * want_bound
+
+
+@pytest.mark.parametrize("name", ["q8", "s4", "d16", "z32"])
+def test_pn_bound_runs_one_eig_and_one_inv_per_block_size(name, monkeypatch):
+    group, registry = builtin_group_by_name(name)
+    a = random_element(group, np.random.default_rng(32))
+    calls = {"eig": [], "inv": []}
+    for fn in calls:
+        original = getattr(np.linalg, fn)
+        monkeypatch.setattr(
+            np.linalg, fn, lambda m, fn=fn, original=original: calls[fn].append(np.shape(m)) or original(m)
+        )
+    pn_bound(a, 3, registry, refine_steps=2)
+    sizes = sorted(set(registry.dims))
+    for shapes in calls.values():
+        # one (count, d, d) stack per size; the per-block loop made one call per block, twice
+        assert [shape[1:] for shape in shapes] == [(d, d) for d in sizes]
+        assert [shape[0] for shape in shapes] == [registry.dims.count(d) for d in sizes]
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_central_units_are_the_inverse_fourier_of_scaled_identity_blocks(name, monkeypatch):
+    group, registry = kernel_registry(name)
+    a = random_element(group, np.random.default_rng(33))
+    steps, seed = 4, 6
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(steps):
+        scalars = 1.0 + 0.25 * (rng.standard_normal(len(registry.irreps)))
+        eye = [np.eye(rep.dim) for rep in registry.irreps]
+        want.append(inverse_fourier(FourierSide(registry, tuple(s * e for s, e in zip(scalars, eye)))).values)
+        want.append(inverse_fourier(FourierSide(registry, tuple(e / s for s, e in zip(scalars, eye)))).values)
+    made = []
+    # with the expansion stubbed out, the only elements the refinement builds are c and c^-1
+    monkeypatch.setattr(certificates, "AlgElement", lambda g, values: made.append(values) or AlgElement(g, values))
+    monkeypatch.setattr(certificates, "pn_from_sn", lambda cert: PnCertificate(a, (), 3, cert.claimed_bound))
+    certificates._refine_by_central_units(a, 3, registry, steps, seed)
+    assert len(made) == len(want)
+    for got, expected in zip(made, want):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("jordan", [[[2, 1], [0, 2]], [[0, 1], [0, 0]]], ids=["2+N", "N"])
+@pytest.mark.parametrize("name", ["s3", "q8", "s4"])
+def test_a_non_diagonalizable_block_still_gets_a_verified_bound(name, jordan):
+    group, registry = builtin_group_by_name(name)
+    blocks = [(1 + i) * np.eye(rep.dim) for i, rep in enumerate(registry.irreps)]
+    blocks[next(i for i, rep in enumerate(registry.irreps) if rep.dim == 2)] = np.array(jordan)
+    a = inverse_fourier(FourierSide(registry, tuple(blocks)))
+    for n in (2, 3):
+        bound = pn_bound(a, n, registry)
+        assert bound.verification.passed and verify_certificate(bound.certificate).passed
+        assert bound.lower <= bound.upper + 1e-12
+
+
+@pytest.mark.parametrize("fault", ["linalg-error", "non-finite"])
+def test_a_failed_block_size_drops_both_root_candidates(fault, monkeypatch):
+    group, registry = builtin_group_by_name("s4")
+    a = random_element(group, np.random.default_rng(34))
+    inv = np.linalg.inv
+
+    def failing(m):
+        if np.shape(m)[-1] != 3:  # only the stack of 3 x 3 blocks fails
+            return inv(m)
+        if fault == "linalg-error":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(np.shape(m), np.inf)
+
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    with np.errstate(invalid="ignore"):  # inf times the zeros of the eigenvector stack
+        assert _block_root_parts(a, 3, registry) is None
+        bound = pn_bound(a, 3, registry)
+    assert bound.verification.passed and len(bound.certificate.parts) == 2**3

@@ -1,4 +1,6 @@
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from oapoly.fourier import element_to_json
 from oapoly.groups import group_to_json
 from oapoly.jsonio import canonical_dumps
 from oapoly.polynomials import poly_to_json, tensor_of
+from oapoly.represent import LinearMap, linear_map_to_json
 
 
 @pytest.fixture(scope="module")
@@ -475,3 +478,44 @@ def test_oadd_check_rejects_a_cubic_coupling_three_ideals(tmp_path, capsys):
     code, out = run(["represent", "extract", "--poly", path, "--seed", "7"], capsys)
     doc = json.loads(out)
     assert code == 1 and doc["pass"] is False and doc["oadd"]["passed"] is False
+
+
+@pytest.fixture(scope="module")
+def overflowing_cubic(tmp_path_factory):
+    """The s3 cubic with every tensor entry 1e300: finite in its file, but
+    its values and residuals overflow when it is evaluated."""
+    group, registry = builtin_group_by_name("s3")
+    domain = GroupAlgebra(group, registry)
+    tensor = {index: np.array([1e300 + 0j]) for index in itertools.combinations_with_replacement(range(6), 3)}
+    base = tmp_path_factory.mktemp("overflow")
+    poly_path, phi_path = base / "cubic_1e300.json", base / "phi.json"
+    poly_path.write_text(canonical_dumps(poly_to_json(HomPoly.from_tensor(3, domain, 1, tensor))))
+    phi_path.write_text(canonical_dumps(linear_map_to_json(LinearMap(domain, 1, np.ones((1, 6))))))
+    return str(poly_path), str(phi_path)
+
+
+@pytest.mark.parametrize("command", ["oadd", "extract", "verify"])
+def test_an_overflowing_polynomial_fails_its_check_with_a_null_residual(command, overflowing_cubic, capsys):
+    poly, phi = overflowing_cubic
+    argv = {
+        "oadd": ["oadd", "check", "--pairs", "20"],
+        "extract": ["represent", "extract", "--pairs", "20", "--samples", "20"],
+        "verify": ["represent", "verify", "--phi", phi, "--samples", "20"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise out of main
+        code = main(argv + ["--poly", poly, "--group", "s3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    doc = json.loads(captured.out)
+    report = doc["oadd"] if command == "extract" else doc
+    assert report["max_residual"] is None
+    assert report.get("passed", report.get("pass")) is False
+    if command == "extract":
+        assert doc["pass"] is False and "homogeneity" in doc["error"]
+
+
+def test_canonical_json_still_refuses_non_finite_floats():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_dumps({"max_residual": bad})

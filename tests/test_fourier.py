@@ -20,6 +20,7 @@ from oapoly import (
     delta_identity,
     inverse_fourier,
     l1_norm,
+    pn_bound,
     power,
     random_element,
 )
@@ -237,6 +238,42 @@ def test_banach_norms():
         banach_norm(delta, "lp", p=0.5)
     with pytest.raises(IncompleteRegistry):
         banach_norm(delta, "ag")
+
+
+def haar_conjugated(registry, seed):
+    """The registry with each irrep in the basis of a Haar unitary."""
+    rng = np.random.default_rng(seed)
+    irreps = []
+    for rep in registry.irreps:
+        q, r = np.linalg.qr(rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim)))
+        v = q * (np.diag(r) / np.abs(np.diag(r)))
+        irreps.append(Irrep(rep.label, rep.dim, v @ rep.matrices @ v.conj().T))
+    return IrrepRegistry(registry.group, tuple(irreps))
+
+
+@pytest.mark.parametrize("name", ["q8", "s4", "d8", "d16", "z32", "s4-haar"])
+def test_stacked_ag_and_sp_norms_match_the_per_block_svd_loop(name):
+    group, registry = builtin_group_by_name(name.removesuffix("-haar"))
+    if name.endswith("-haar"):
+        registry = haar_conjugated(registry, 41)
+    f = random_element(group, np.random.default_rng(35))
+    # the per-block loop the stacked SVDs replace
+    sv = [(rep.dim, np.linalg.svd(block, compute_uv=False)) for rep, block in zip(registry.irreps, fourier(f, registry).blocks)]
+    assert banach_norm(f, "ag", registry=registry) == pytest.approx(sum(d * s.sum() for d, s in sv), rel=1e-13)
+    for p in (1.0, 1.5, 3.0):
+        want = l1_norm(f) + sum(d * float((s**p).sum()) for d, s in sv) ** (1.0 / p)
+        assert banach_norm(f, "sp", p=p, registry=registry) == pytest.approx(want, rel=1e-13)
+
+
+def test_block_norms_and_roots_refuse_the_registry_of_another_group():
+    group, _ = builtin_group_by_name("d4")
+    _, other = builtin_group_by_name("q8")
+    f = random_element(group, np.random.default_rng(36))
+    for which in ("ag", "sp"):
+        with pytest.raises(GroupMismatch):
+            banach_norm(f, which, p=2.0, registry=other)
+    with pytest.raises(GroupMismatch):
+        pn_bound(f, 2, other)
 
 
 def test_banach_norm_takes_the_certificate_selectors():

@@ -4,7 +4,7 @@ map forces on any correct implementation, whatever the numbers.
 Renaming the elements of a group by a permutation sigma permutes L, and
 leaves the norm bounds, the span rank and every verdict alone. Changing
 the basis of each irrep by a unitary leaves L, the ideal components and
-the ag/sp norms alone. Self-consistent convention slips, such as a
+the ag/sp norms alone. L is linear in P: P1 + P2 extracts to L1 + L2. Self-consistent convention slips, such as a
 reversed block product or a dropped inverse, break these relations even
 where they reproduce their own earlier outputs.
 """
@@ -33,7 +33,7 @@ from oapoly import (
 )
 from oapoly.fourier import fourier
 
-GROUPS = ["q8", "s3", "d4"]
+GROUPS = ["q8", "s3", "d4", "s4", "d8"]
 oracle = settings(max_examples=10, deadline=None, derandomize=True)
 seeds = st.integers(0, 2**32 - 1)
 
@@ -157,3 +157,23 @@ def test_irrep_basis_change_keeps_map_components_and_norms(name, n, seed):
     for which, p in (("ag", None), ("sp", 1.5), ("sp", 3.0)):
         want = banach_norm(a, which, p=p, registry=registry)
         assert banach_norm(a, which, p=p, registry=rotated) == pytest.approx(want, rel=1e-12)
+
+
+@oracle
+@given(name=st.sampled_from(GROUPS), n=st.sampled_from([2, 3]), seed=seeds)
+def test_a_sum_of_polynomials_extracts_to_the_sum_of_maps(name, n, seed):
+    group, registry = builtin_group_by_name(name)
+    domain = GroupAlgebra(group, registry)
+    rng = np.random.default_rng(seed)
+    P1, P2 = oa_poly(domain, n, rng), oa_poly(domain, n, rng)
+    total = HomPoly(n, domain, P1.codomain_dim, lambda x: P1(x) + P2(x))
+    for route in (phi_group, phi_group_blockwise):
+        want = route(P1, seed=3).matrix + route(P2, seed=3).matrix
+        assert_close(route(total, seed=3).matrix, want, 1e-10)
+
+    if n == 2:  # an OA polynomial plus the non-OA control is rejected
+        bad = trace_square(group, registry, domain)
+        mixed = HomPoly(2, domain, 1, lambda x: P1(x)[:1] + bad(x))
+        for route in (phi_group, phi_group_blockwise):
+            with pytest.raises(VerificationFailure):
+                route(mixed, seed=3)
