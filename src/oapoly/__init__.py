@@ -40,10 +40,8 @@ from .fourier import (
 from .domains import AlgebraDomain, GroupAlgebra, MatrixAlgebra, PointwiseAlgebra
 from .polynomials import (
     HomPoly,
-    SymMultilinear,
     check_orthogonal_additivity,
     orthogonal_pairs,
-    polarize,
     sym_product,
     tensor_of,
 )

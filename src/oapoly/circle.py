@@ -26,7 +26,7 @@ import numpy as np
 
 from .domains import PointwiseAlgebra
 from .errors import BadExponent, UnderSampled
-from .jsonio import complex_to_pair, pair_to_complex
+from .jsonio import complex_to_pair
 from .polynomials import HomPoly, _unit_slot
 
 DEFAULT_QUADRATURE_POINTS = 1 << 14
@@ -37,7 +37,6 @@ class TrigPoly:
     """A trigonometric polynomial as a finitely supported coefficient map."""
 
     coeffs: dict
-    cap: int | None = None
 
     def __post_init__(self):
         cleaned = {}
@@ -45,14 +44,7 @@ class TrigPoly:
             c = complex(c)
             if c != 0:
                 cleaned[int(k)] = c
-        cap = self.cap
-        degree = max((abs(k) for k in cleaned), default=0)
-        if cap is None:
-            cap = degree
-        elif degree > cap:
-            raise ValueError(f"support reaches degree {degree}, beyond the cap {cap}")
         object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "cap", int(cap))
 
     @property
     def degree(self) -> int:
@@ -348,14 +340,3 @@ def diagnostic_analytic_growth(N_list) -> dict:
         "pass": increasing and all(r["pass"] for r in rows),
     }
 
-
-# ---------------------------------------------------------------------------
-# JSON format
-
-
-def trig_to_json(f: TrigPoly) -> dict:
-    return {"coeffs": {str(k): complex_to_pair(c) for k, c in sorted(f.coeffs.items())}}
-
-
-def trig_from_json(doc: dict) -> TrigPoly:
-    return TrigPoly({int(k): pair_to_complex(pair) for k, pair in doc["coeffs"].items()})

@@ -56,6 +56,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0; anything else is a usage error."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+_tolerance.__name__ = "float"  # argparse names the type in its messages
+
+
 def _positive_int_list(text: str) -> list[int]:
     values = _int_list(text)
     if any(value < 1 for value in values):
@@ -185,23 +196,16 @@ def _cmd_represent_extract(args) -> int:
     doc = _load_json(args.poly)
     domain = _resolve_domain(doc, args)
     poly = poly_from_json(doc, domain)
-    # on a group algebra with a registry (complete, as validated) the artifact also
-    # carries the `oadd check` report; it informs, the probe gate of the extraction decides
-    oadd = {}
-    if isinstance(domain, GroupAlgebra) and domain.registry is not None:
-        pairs = orthogonal_pairs(domain, args.pairs, args.seed)
-        oadd["oadd"] = check_orthogonal_additivity(poly, pairs, tol=args.tol).to_dict()
     try:
         linear = represent.phi_group(poly, seed=args.seed, verify_samples=args.samples, tol=args.tol)
     except (VerificationFailure, HomogeneityViolation) as exc:
-        payload = {"pass": False, "error": str(exc), **oadd}
+        payload = {"pass": False, "error": str(exc)}
         if isinstance(exc, VerificationFailure) and exc.max_residual is not None:
             payload["max_residual"] = finite_or_null(exc.max_residual)
         _emit(args, payload)
         return 1
     verify = linear.verification
-    payload = {"phi": linear_map_to_json(linear), "verify": verify, "pass": verify["pass"], **oadd}
-    _emit(args, payload)
+    _emit(args, {"phi": linear_map_to_json(linear), "verify": verify, "pass": verify["pass"]})
     return 0 if verify["pass"] else 1
 
 
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--group")
     check.add_argument("--group-file")
     check.add_argument("--pairs", type=_int_at_least(1), default=200)
-    check.add_argument("--tol", type=float, default=1e-9)
+    check.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_common(check)
     check.set_defaults(handler=_cmd_oadd_check)
 
@@ -352,9 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--poly", required=True)
     extract.add_argument("--group")
     extract.add_argument("--group-file")
-    extract.add_argument("--pairs", type=_int_at_least(1), default=120)
+    extract.add_argument(
+        "--pairs", type=_int_at_least(1), default=120, help="ignored; the pair check is `oadd check`"
+    )
     extract.add_argument("--samples", type=_int_at_least(1), default=200)
-    extract.add_argument("--tol", type=float, default=1e-9)
+    extract.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_common(extract)
     extract.set_defaults(handler=_cmd_represent_extract)
     verify = rep_sub.add_parser("verify")
@@ -363,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--group")
     verify.add_argument("--group-file")
     verify.add_argument("--samples", type=_int_at_least(1), default=200)
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_common(verify)
     verify.set_defaults(handler=_cmd_represent_verify)
 

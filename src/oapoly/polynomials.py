@@ -128,22 +128,6 @@ class HomPoly:
         return P
 
 
-@dataclass(frozen=True, eq=False)
-class SymMultilinear:
-    """Symmetric n-linear map on an algebra domain."""
-
-    degree: int
-    domain: AlgebraDomain
-    codomain_dim: int
-    evaluator: Callable[..., np.ndarray]
-
-    def __call__(self, *xs) -> np.ndarray:
-        if len(xs) != self.degree:
-            raise ValueError(f"expected {self.degree} arguments, got {len(xs)}")
-        out = np.asarray(self.evaluator(*[np.asarray(x, dtype=np.complex128) for x in xs]))
-        return out.reshape(self.codomain_dim).astype(np.complex128)
-
-
 def _distinct_permutations(index: tuple[int, ...]) -> int:
     counts: dict[int, int] = {}
     for i in index:
@@ -180,8 +164,9 @@ def check_homogeneity(P: HomPoly, rng: np.random.Generator) -> float:
     return worst
 
 
-def polarize(P: HomPoly, seed: int = 0) -> SymMultilinear:
-    """The unique symmetric n-linear map whose diagonal is P; each
+def polarize(P: HomPoly, seed: int = 0) -> Callable[..., np.ndarray]:
+    """The unique symmetric n-linear map whose diagonal is P, as a
+    function of n coefficient vectors returning its (m,) value; each
     evaluation is one call of P on the stack of its 2^n signed sums."""
     n = P.degree
     if n > MAX_DEGREE:
@@ -193,7 +178,7 @@ def polarize(P: HomPoly, seed: int = 0) -> SymMultilinear:
     def evaluate(*xs):
         return weights @ P(signs @ np.stack(xs))
 
-    return SymMultilinear(n, P.domain, P.codomain_dim, evaluate)
+    return evaluate
 
 
 def _unit_slot(P: HomPoly, unit: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -212,14 +197,15 @@ def _unit_slot(P: HomPoly, unit: np.ndarray, directions: np.ndarray) -> np.ndarr
     return total.T / (n * (n + 1))
 
 
-def tensor_of(phi: SymMultilinear) -> dict:
-    """Dense symmetric tensor of phi on sorted basis multi-indices."""
-    dim = phi.domain.dim
-    basis = np.eye(dim, dtype=np.complex128)
-    out = {}
-    for index in itertools.combinations_with_replacement(range(dim), phi.degree):
-        out[index] = phi(*[basis[i] for i in index])
-    return out
+def tensor_of(P: HomPoly) -> dict:
+    """Dense symmetric tensor of P on sorted basis multi-indices: its
+    polarization at basis vectors, after the homogeneity probe."""
+    phi = polarize(P)
+    basis = np.eye(P.domain.dim, dtype=np.complex128)
+    return {
+        index: phi(*basis[list(index)])
+        for index in itertools.combinations_with_replacement(range(P.domain.dim), P.degree)
+    }
 
 
 def sym_product(xs: Sequence[np.ndarray], domain: AlgebraDomain) -> np.ndarray:

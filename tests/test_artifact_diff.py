@@ -51,8 +51,11 @@ def write(tmp_path, name, doc):
 def test_compare_job_flags_exit_codes_and_missing_artifacts(tmp_path):
     same = write(tmp_path, "p.json", {"pass": True}), write(tmp_path, "c.json", {"pass": True})
     assert artifact_diff.compare_job("job", (0, 0), same) == (["job: exit 0 -> 0", "  identical"], False)
-    lines, bad = artifact_diff.compare_job("job", (0, 1), same)
-    assert bad and lines[0] == "job: exit 0 -> 1"
+    usage = "oapoly: error: unrecognized arguments: --pairs"
+    lines, bad = artifact_diff.compare_job("job", (0, 2), same, ("", usage))
+    assert bad and lines[:3] == ["job: exit 0 -> 2", "  parent stderr: ''", f"  change stderr: {usage!r}"]
+    lines, _ = artifact_diff.compare_job("job", (1, 1), same, ("check failed: a", "check failed: b"))
+    assert not any("stderr" in line for line in lines)  # listed only when the codes differ
     one_side = (same[0], tmp_path / "absent.json")
     lines, bad = artifact_diff.compare_job("job", (0, 0), one_side)
     assert bad and lines[1] == "  artifact missing in change"

@@ -18,7 +18,7 @@ from oapoly import (
     fejer_limit_check,
     lp_norm_t,
 )
-from oapoly.circle import analytic_kernel, dirichlet, trig_from_json, trig_to_json
+from oapoly.circle import analytic_kernel, dirichlet
 
 
 def test_character_convolution():
@@ -210,16 +210,9 @@ def test_analytic_growth_log_floor():
     assert report["strictly_increasing"] and report["pass"]
 
 
-def test_trig_poly_cap_invariant():
-    with pytest.raises(ValueError):
-        TrigPoly({5: 1.0}, cap=3)
-    assert TrigPoly({2: 1.0}, cap=8).cap == 8
-
-
-def test_trig_json_round_trip():
-    f = TrigPoly({-3: 1.5 + 0.5j, 0: -2.0, 7: 0.25j})
-    loaded = trig_from_json(trig_to_json(f))
-    assert loaded.coeffs == f.coeffs
+def test_trig_poly_support_invariant():
+    f = TrigPoly({5: 0.0, -3: 2.0, 1: 0j, 2.0: 1.0})
+    assert f.coeffs == {-3: 2.0, 2: 1.0} and f.support == (-3, 2) and f.degree == 3
 
 
 def test_analytic_kernel_definition():

@@ -14,7 +14,6 @@ from oapoly import (
     MatrixAlgebra,
     PointwiseAlgebra,
     builtin_group_by_name,
-    polarize,
     random_element,
     validate_irreps,
     verify_representation,
@@ -36,12 +35,12 @@ def s3_files(tmp_path_factory):
 
     linear = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
     good = HomPoly.prototypical(linear, 2, domain)
-    good_tensor = HomPoly.from_tensor(2, domain, 1, tensor_of(polarize(good)))
+    good_tensor = HomPoly.from_tensor(2, domain, 1, tensor_of(good))
     good_path = base / "good.json"
     good_path.write_text(canonical_dumps(poly_to_json(good_tensor)))
 
     bad = HomPoly(2, domain, 1, lambda x: np.array([x[group.identity] ** 2]))
-    bad_tensor = HomPoly.from_tensor(2, domain, 1, tensor_of(polarize(bad)))
+    bad_tensor = HomPoly.from_tensor(2, domain, 1, tensor_of(bad))
     bad_path = base / "bad.json"
     bad_path.write_text(canonical_dumps(poly_to_json(bad_tensor)))
 
@@ -139,7 +138,7 @@ def test_represent_extract_failure_artifact(s3_files, capsys):
 
 def tensor_file(path, P):
     """Write P as a tensor-backed polynomial file; return its path."""
-    tensor = HomPoly.from_tensor(P.degree, P.domain, P.codomain_dim, tensor_of(polarize(P)))
+    tensor = HomPoly.from_tensor(P.degree, P.domain, P.codomain_dim, tensor_of(P))
     path.write_text(canonical_dumps(poly_to_json(tensor)))
     return str(path)
 
@@ -154,15 +153,15 @@ def s3_cubic_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize("which, code", [("cubic", 0), ("square", 1)])
-def test_represent_extract_carries_the_oadd_check_report(which, code, s3_cubic_file, s3_files, tmp_path):
+def test_represent_extract_has_one_verdict_and_ignores_pairs(which, code, s3_cubic_file, s3_files, tmp_path):
     poly = s3_cubic_file if which == "cubic" else s3_files["bad"]
-    flags = ["--poly", poly, "--pairs", "40", "--seed", "7", "--tol", "1e-9"]
-    oadd_path, extract_path = tmp_path / "oadd.json", tmp_path / "extract.json"
-    assert main(["oadd", "check", *flags, "--output", str(oadd_path)]) == code
-    assert main(["represent", "extract", "--group", "s3", *flags, "--output", str(extract_path)]) == code
-    report = json.loads(extract_path.read_text())["oadd"]
-    assert canonical_dumps(report) + "\n" == oadd_path.read_text()
-    assert report["passed"] is (code == 0) and report["pair_count"] == 40
+    argv = ["represent", "extract", "--group", "s3", "--poly", poly, "--seed", "7", "--tol", "1e-9"]
+    plain, paired = tmp_path / "plain.json", tmp_path / "paired.json"
+    assert main(argv + ["--output", str(plain)]) == code
+    assert main(argv + ["--pairs", "40", "--output", str(paired)]) == code
+    doc = json.loads(plain.read_text())
+    assert doc["pass"] is (code == 0) and "oadd" not in doc
+    assert plain.read_bytes() == paired.read_bytes()
 
 
 def test_represent_extract_honours_tol(s3_files, capsys, tmp_path):
@@ -175,6 +174,8 @@ def test_represent_extract_honours_tol(s3_files, capsys, tmp_path):
     code, out = run(argv + ["--tol", "1e-3"], capsys)
     assert code == 0 and json.loads(out)["pass"] is True
     code, out = run(argv, capsys)
+    assert code == 1 and json.loads(out)["pass"] is False
+    code, out = run(argv + ["--tol", "0"], capsys)  # a zero tolerance is valid input
     assert code == 1 and json.loads(out)["pass"] is False
 
 
@@ -192,7 +193,7 @@ def test_represent_extract_matrix_domain_honours_tol(tmp_path, capsys, monkeypat
     trace_square = HomPoly(
         2, domain, 1, lambda x: np.array([np.trace(x.reshape(k, k) @ x.reshape(k, k))])
     )
-    doc = poly_to_json(HomPoly.from_tensor(2, domain, 1, tensor_of(polarize(trace_square))))
+    doc = poly_to_json(HomPoly.from_tensor(2, domain, 1, tensor_of(trace_square)))
     doc["tensor"]["1,2"][0] += 1e-7
     path = tmp_path / "nudged.json"
     path.write_text(canonical_dumps(doc))
@@ -205,7 +206,7 @@ def test_represent_extract_matrix_domain_honours_tol(tmp_path, capsys, monkeypat
         {"seed": 3, "verify_samples": 30, "tol": 1e-3},
         {"seed": 3, "verify_samples": 30, "tol": 1e-9},
     ]
-    assert "oadd" not in json.loads(out)  # the pair check rides only on group domains
+    assert "oadd" not in json.loads(out)
 
 
 def test_represent_extract_on_a_pointwise_domain(tmp_path, capsys):
@@ -277,7 +278,7 @@ def test_oadd_check_matrix_domain(tmp_path, capsys):
     trace_square = HomPoly(
         2, domain, 1, lambda x: np.array([np.trace((x.reshape(2, 2) @ x.reshape(2, 2)))])
     )
-    doc = poly_to_json(HomPoly.from_tensor(2, domain, 1, tensor_of(polarize(trace_square))))
+    doc = poly_to_json(HomPoly.from_tensor(2, domain, 1, tensor_of(trace_square)))
     path = tmp_path / "matrix_poly.json"
     path.write_text(canonical_dumps(doc))
     code, out = run(["oadd", "check", "--poly", str(path), "--pairs", "40"], capsys)
@@ -300,6 +301,12 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
         ["represent", "extract", "--pairs", "0"],
         ["represent", "extract", "--samples", "0"],
         ["represent", "verify", "--phi", "phi.json", "--samples", "0"],
+        ["oadd", "check", "--tol", "-1"],
+        ["oadd", "check", "--tol", "nan"],
+        ["represent", "extract", "--tol", "inf"],
+        ["represent", "extract", "--tol", "nan"],
+        ["represent", "verify", "--phi", "phi.json", "--tol", "-inf"],
+        ["represent", "verify", "--phi", "phi.json", "--tol", "abc"],
     ],
     ids=[
         "certify-n",
@@ -310,6 +317,12 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
         "extract-pairs",
         "extract-samples",
         "verify-samples",
+        "oadd-tol-negative",
+        "oadd-tol-nan",
+        "extract-tol-inf",
+        "extract-tol-nan",
+        "verify-tol-minus-inf",
+        "verify-tol-not-a-number",
     ],
 )
 def test_out_of_range_flag_is_usage_error(argv, s3_files, capsys):
@@ -477,7 +490,7 @@ def test_oadd_check_rejects_a_cubic_coupling_three_ideals(tmp_path, capsys):
     assert code == 1 and json.loads(out)["passed"] is False
     code, out = run(["represent", "extract", "--poly", path, "--seed", "7"], capsys)
     doc = json.loads(out)
-    assert code == 1 and doc["pass"] is False and doc["oadd"]["passed"] is False
+    assert code == 1 and doc["pass"] is False
 
 
 @pytest.fixture(scope="module")
@@ -508,11 +521,10 @@ def test_an_overflowing_polynomial_fails_its_check_with_a_null_residual(command,
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     doc = json.loads(captured.out)
-    report = doc["oadd"] if command == "extract" else doc
-    assert report["max_residual"] is None
-    assert report.get("passed", report.get("pass")) is False
     if command == "extract":
         assert doc["pass"] is False and "homogeneity" in doc["error"]
+    else:
+        assert doc["max_residual"] is None and doc.get("passed", doc.get("pass")) is False
 
 
 def test_canonical_json_still_refuses_non_finite_floats():

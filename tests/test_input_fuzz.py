@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oapoly import GroupAlgebra, HomPoly, LinearMap, builtin_group_by_name, polarize, random_element
+from oapoly import GroupAlgebra, HomPoly, LinearMap, builtin_group_by_name, random_element
 from oapoly.cli import main
 from oapoly.fourier import element_to_json
 from oapoly.groups import group_to_json
@@ -33,7 +33,7 @@ def _valid_documents() -> dict:
     return {
         "group": group_to_json(group, registry),
         "element": element_to_json(random_element(group, rng)),
-        "poly": poly_to_json(HomPoly.from_tensor(2, domain, 2, tensor_of(polarize(poly)))),
+        "poly": poly_to_json(HomPoly.from_tensor(2, domain, 2, tensor_of(poly))),
         "phi": linear_map_to_json(LinearMap(domain, 2, linear)),
     }
 

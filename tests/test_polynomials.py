@@ -20,14 +20,13 @@ from oapoly import (
     orthogonal_pairs,
     phi_group,
     phi_group_blockwise,
-    polarize,
     random_element,
     sym_product,
     tensor_of,
     verify_representation,
 )
 from oapoly.fourier import _CHUNK_BYTES
-from oapoly.polynomials import _unit_slot, check_homogeneity, poly_from_json, poly_to_json
+from oapoly.polynomials import _unit_slot, check_homogeneity, polarize, poly_from_json, poly_to_json
 
 
 def scalar_poly(degree, func):
@@ -100,6 +99,12 @@ def test_polarize_rejects_inhomogeneous_blackbox():
     lying = scalar_poly(2, lambda x: x**2 + x)
     with pytest.raises(HomogeneityViolation):
         polarize(lying)
+
+
+def test_tensor_of_rejects_inhomogeneous_blackbox():
+    lying = HomPoly(2, MatrixAlgebra(2), 1, lambda x: np.array([np.sum(x) ** 2 + x[0] ** 3]))
+    with pytest.raises(HomogeneityViolation):
+        tensor_of(lying)
 
 
 def test_uniqueness_of_symmetric_map():
@@ -239,13 +244,13 @@ def test_tensor_round_trip():
     rng = np.random.default_rng(12)
     domain = MatrixAlgebra(2)
     P = HomPoly.prototypical(rng.standard_normal((1, 4)), 2, domain)
-    tensor = tensor_of(polarize(P))
+    tensor = tensor_of(P)
     rebuilt = HomPoly.from_tensor(2, domain, 1, tensor)
     for _ in range(5):
         x = domain.random(rng)
         np.testing.assert_allclose(rebuilt(x), P(x), atol=1e-10)
     # polarizing the rebuilt polynomial reproduces the same tensor
-    again = tensor_of(polarize(rebuilt))
+    again = tensor_of(rebuilt)
     for key, value in tensor.items():
         np.testing.assert_allclose(again[key], value, atol=1e-9)
 
@@ -303,7 +308,7 @@ def test_poly_json_round_trip():
     domain = GroupAlgebra(group, registry)
     rng = np.random.default_rng(13)
     P = HomPoly.prototypical(rng.standard_normal((1, 4)), 2, domain)
-    doc = poly_to_json(HomPoly.from_tensor(2, domain, 1, tensor_of(polarize(P))))
+    doc = poly_to_json(HomPoly.from_tensor(2, domain, 1, tensor_of(P)))
     loaded = poly_from_json(doc, domain)
     for _ in range(5):
         x = domain.random(rng)
@@ -368,7 +373,7 @@ def test_a_black_box_only_ever_receives_single_vectors():
     phi_group_blockwise(P, verify_samples=7)
     verify_representation(P, L, samples=7)
     check_orthogonal_additivity(P, orthogonal_pairs(domain, 9, seed=1))
-    tensor_of(polarize(P))
+    tensor_of(P)
     _unit_slot(P, domain.one(), np.eye(6))
     assert len(shapes) > 100 and set(shapes) == {(6,)}
     assert P(np.ones((0, 6))).shape == (0, 2)

@@ -20,7 +20,7 @@ from oapoly import (
     verify_representation,
 )
 from oapoly.fourier import fourier
-from oapoly.polynomials import _unit_slot, polarize, tensor_of
+from oapoly.polynomials import _unit_slot, tensor_of
 from oapoly.represent import linear_map_from_json, linear_map_to_json
 
 
@@ -264,7 +264,7 @@ def test_a_stacked_polynomial_is_called_once_per_root_and_per_check(build, n):
         linear = rng.standard_normal((2, domain.dim)) + 1j * rng.standard_normal((2, domain.dim))
         P = HomPoly.prototypical(linear, n, domain)
         if build == "tensor":
-            P = HomPoly.from_tensor(n, domain, 2, tensor_of(polarize(P)))
+            P = HomPoly.from_tensor(n, domain, 2, tensor_of(P))
         for route in (phi_group, phi_group_blockwise):
             for samples in (1, 50):
                 P, calls = stacked_counting(P)
@@ -281,7 +281,7 @@ def test_tensor_extraction_memory_stays_bounded():
     domain = GroupAlgebra(group, registry)
     rng = np.random.default_rng(24)
     linear = rng.standard_normal((1, 24)) + 1j * rng.standard_normal((1, 24))
-    P = HomPoly.from_tensor(3, domain, 1, tensor_of(polarize(HomPoly.prototypical(linear, 3, domain))))
+    P = HomPoly.from_tensor(3, domain, 1, tensor_of(HomPoly.prototypical(linear, 3, domain)))
     assert len(P.tensor) == 2600
     tracemalloc.start()
     try:
@@ -401,7 +401,7 @@ def gate_cases():
     squared = HomPoly(2, matrices, 1, lambda x: np.array([np.trace(x.reshape(3, 3)) ** 2]))
     case("matrix3-trace-squared", squared, 1e-9, False)
     linear = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
-    tensor = tensor_of(polarize(HomPoly.prototypical(linear, 2, domains["s3"])))
+    tensor = tensor_of(HomPoly.prototypical(linear, 2, domains["s3"]))
     tensor[(1, 2)] = tensor[(1, 2)] + 1e-7
     nudged = HomPoly.from_tensor(2, domains["s3"], 1, tensor)
     case("s3-nudged-tol1e-9", nudged, 1e-9, False)

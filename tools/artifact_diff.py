@@ -7,9 +7,10 @@ The inputs of perfbench's cli-files workload are written once, by
 its tensor files need come from this repository's ``src``). Each
 distinct job label then runs once per checkout, in manifest order, as
 ``python -m oapoly.cli`` with that checkout's ``src`` on PYTHONPATH and
-its own output directory. For every job this prints both exit codes,
-then either ``identical`` or each JSON path whose values differ, with
-the parent's value and the change's. The exit code is 1 when an exit
+its own output directory. For every job this prints both exit codes
+(and, when they differ, the last stderr line of each side), then either
+``identical`` or each JSON path whose values differ, with the parent's
+value and the change's. The exit code is 1 when an exit
 code differs or an artifact exists on one side only, else 0.
 """
 
@@ -48,13 +49,16 @@ def json_diff(parent, change, path: str = "$") -> list[tuple[str, object, object
     return [(path, parent, change)]
 
 
-def compare_job(label: str, codes: tuple, artifacts: tuple) -> tuple[list[str], bool]:
+def compare_job(label: str, codes: tuple, artifacts: tuple, errors=("", "")) -> tuple[list[str], bool]:
     """Report lines for one job, and whether it breaks the comparison.
 
     `codes` are the two exit codes, `artifacts` the two artifact paths
-    (None for a job that writes none)."""
+    (None for a job that writes none), `errors` the last stderr line of
+    each side, listed when the exit codes differ."""
     lines = [f"{label}: exit {codes[0]} -> {codes[1]}"]
     bad = codes[0] != codes[1]
+    if bad:
+        lines += [f"  {side} stderr: {error!r}" for side, error in zip(("parent", "change"), errors)]
     if artifacts[0] is None:
         return lines, bad
     present = [path.exists() for path in artifacts]
@@ -86,13 +90,14 @@ def _write_inputs(seed: int, in_dir: Path) -> dict:
     return json.loads(manifest.read_text())
 
 
-def _run(tree: Path, argv: list[str], in_dir: Path, out_dir: Path) -> int:
+def _run(tree: Path, argv: list[str], in_dir: Path, out_dir: Path) -> tuple[int, str]:
+    """The exit code and the last stderr line of one CLI job."""
     argv = [a.replace("{in}", str(in_dir)).replace("{out}", str(out_dir)) for a in argv]
     env = {k: v for k, v in os.environ.items() if k not in ("OAPOLY_SEED", "PYTHONPATH")}
     env["PYTHONPATH"] = str(tree / "src")
     done = subprocess.run([sys.executable, "-m", "oapoly.cli", *argv], env=env, cwd=tree,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return done.returncode
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    return done.returncode, (done.stderr.strip().splitlines() or [""])[-1]
 
 
 def main(argv=None) -> int:
@@ -112,9 +117,9 @@ def main(argv=None) -> int:
             jobs.setdefault(job["label"], job)
         broken = False
         for label, job in jobs.items():
-            codes = tuple(_run(tree, job["argv"], in_dir, out) for tree, out in zip(trees, outs))
+            codes, errors = zip(*(_run(tree, job["argv"], in_dir, out) for tree, out in zip(trees, outs)))
             artifacts = (None, None) if job["output"] is None else tuple(out / job["output"] for out in outs)
-            lines, bad = compare_job(label, codes, artifacts)
+            lines, bad = compare_job(label, codes, artifacts, errors)
             print("\n".join(lines))
             broken = broken or bad
     return 1 if broken else 0
