@@ -1,6 +1,8 @@
+import argparse
 import itertools
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from oapoly import (
     verify_representation,
 )
 from oapoly.cli import main
+from oapoly.errors import HomogeneityViolation, VerificationFailure
 from oapoly.fourier import element_to_json
 from oapoly.groups import group_to_json
 from oapoly.jsonio import canonical_dumps
@@ -166,7 +169,7 @@ def test_represent_extract_has_one_verdict_and_ignores_pairs(which, code, s3_cub
 
 def test_represent_extract_honours_tol(s3_files, capsys, tmp_path):
     # an OA quadratic nudged off its standard form by 1e-7 in one entry
-    doc = json.loads(open(s3_files["good"]).read())
+    doc = json.loads(Path(s3_files["good"]).read_text())
     doc["tensor"]["1,2"][0] += 1e-7
     nudged = tmp_path / "nudged.json"
     nudged.write_text(canonical_dumps(doc))
@@ -254,6 +257,25 @@ def test_circle_fejer_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m,l1_norm,coeff_error,pass"
     assert len(lines) == 3
+    # the columns are the row keys, so a table of no rows has an empty header
+    assert run(["circle", "fejer", "--m", ",", "--format", "csv"], capsys) == (0, "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["--example", "4.1", "--p", "1.5", "--m", "10,100"], "m,phi_norm,phi_norm_pow_s,companion,pass"),
+        (["--example", "4.2", "--N", "16,64"], "N,norm_q,norm_q_at_4N,ratio,pass"),
+        (["--example", "4.3", "--N", "64,256"], "N,l1_norm,floor,pass"),
+    ],
+    ids=["4.1", "4.2", "4.3"],
+)
+def test_circle_diagnose_csv_columns_are_the_row_keys(argv, header, capsys):
+    code, out = run(["circle", "diagnose", *argv, "--format", "csv"], capsys)
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0] == header and len(lines) == 3
+    code, out = run(["circle", "diagnose", *argv], capsys)
+    assert sorted(json.loads(out)["rows"][0]) == sorted(header.split(","))  # JSON sorts its keys
 
 
 def test_circle_diagnose_examples(capsys):
@@ -307,6 +329,9 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
         ["represent", "extract", "--tol", "nan"],
         ["represent", "verify", "--phi", "phi.json", "--tol", "-inf"],
         ["represent", "verify", "--phi", "phi.json", "--tol", "abc"],
+        ["circle", "diagnose", "--example", "4.2", "--p", "nan"],
+        ["circle", "diagnose", "--example", "4.2", "--p", "inf"],
+        ["circle", "diagnose", "--example", "4.1", "--p", "0.5"],
     ],
     ids=[
         "certify-n",
@@ -323,6 +348,9 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
         "extract-tol-nan",
         "verify-tol-minus-inf",
         "verify-tol-not-a-number",
+        "diagnose-p-nan",
+        "diagnose-p-inf",
+        "diagnose-p-below-1",
     ],
 )
 def test_out_of_range_flag_is_usage_error(argv, s3_files, capsys):
@@ -353,6 +381,57 @@ def test_env_seed_fallback(monkeypatch, capsys):
     code, out = run(parser_args, capsys)
     assert code == 0
     assert json.loads(out)["seed"] == 42
+    # read on each call, not when the parser is built
+    monkeypatch.setattr(cli, "run_selftest", lambda seed: {"seed": seed, "pass": True})
+    monkeypatch.setenv("OAPOLY_SEED", "43")
+    assert run(parser_args, capsys) == (0, '{"pass":true,"seed":43}\n')
+
+
+def test_bad_env_seed_is_a_usage_error_only_where_a_seed_is_taken(monkeypatch, capsys):
+    monkeypatch.setenv("OAPOLY_SEED", "abc")
+    code = main(["selftest"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "OAPOLY_SEED" in captured.err and "Traceback" not in captured.err
+    code, out = run(["group", "validate", "--group", "z4"], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        for argv in (["group", "info", "--group", "z4"], ["circle", "fejer", "--m", "2"], ["group", "validate", "--group", "z4"]):
+            assert run(argv, capsys)[0] == 0
+        assert built.count("oapoly") == 1
+    finally:
+        cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "error, artifact",
+    [
+        (VerificationFailure("probe residual 0.25", max_residual=0.25), {"error": "probe residual 0.25", "max_residual": 0.25}),
+        (HomogeneityViolation("homogeneity probe failed"), {"error": "homogeneity probe failed"}),
+    ],
+    ids=["verification", "homogeneity"],
+)
+def test_a_failed_check_in_selftest_writes_the_failure_artifact(error, artifact, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(represent, "phi_group", failing)
+    code = main(["selftest", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == dict(artifact, **{"pass": False})
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,47 @@ def test_sym_product_permutation_invariance_exhaustive():
             np.testing.assert_allclose(shuffled, reference, atol=1e-12)
 
 
+def permutation_average(xs, domain):
+    """The definition of sym_product: the mean of the products over all orderings."""
+    total = np.zeros(domain.dim, dtype=np.complex128)
+    for order in itertools.permutations(range(len(xs))):
+        prod = xs[order[0]]
+        for i in order[1:]:
+            prod = domain.mul(prod, xs[i])
+        total += prod
+    return total / math.factorial(len(xs))
+
+
+@pytest.mark.parametrize("name", ["q8", "s4", "d16", "z128", "matrix3"])
+def test_sym_product_is_the_average_over_orderings_at_every_scale(name):
+    domain = MatrixAlgebra(3) if name == "matrix3" else GroupAlgebra(builtin_group_by_name(name)[0])
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 5):
+        for _ in range(3):
+            # factors of mixed sizes, as in the certificate tuples (delta, ..., delta, a)
+            scales = 10.0 ** (6 * rng.integers(-1, 2, size=n))
+            xs = [scale * domain.random(rng) for scale in scales]
+            reference = permutation_average(xs, domain)
+            error = domain.norm(sym_product(xs, domain) - reference) / domain.norm(reference)
+            assert error <= 1e-14, (n, scales, error)
+
+
+def test_sym_product_with_a_zero_factor_is_zero():
+    domain = GroupAlgebra(builtin_group_by_name("q8")[0])
+    xs = list(domain.random(np.random.default_rng(8), (3,)))
+    xs[1] = np.zeros(domain.dim)
+    assert not sym_product(xs, domain).any()
+
+
+def test_sym_product_at_degree_12_recovers_the_sn_tuple():
+    # the average over orderings takes n! (n - 1) products; n = 12 would be 5e9
+    group, _ = builtin_group_by_name("q8")
+    delta = delta_identity(group)
+    a = random_element(group, np.random.default_rng(9))
+    result = sym_product([delta.values] * 11 + [1e6 * a.values], GroupAlgebra(group))
+    np.testing.assert_allclose(result, 1e6 * a.values, rtol=0, atol=1e-8 * np.abs(1e6 * a.values).max())
+
+
 def test_orthogonal_pairs_explicit_examples():
     group, registry = builtin_group_by_name("s3")
     domain = GroupAlgebra(group, registry)
