@@ -6,8 +6,10 @@ block structure as a sum of full matrix algebras: the block sizes
 `dims`, and `from_blocks`, taking concatenated row-major blocks to
 coefficient vectors. Full matrix algebras (one block) and pointwise
 coefficient algebras (1 x 1 blocks, the truncated trigonometric
-polynomials of the circle) are shapes of the internal BlockAlgebra. A
-group convolution algebra keeps its table product and reaches its
+polynomials of the circle) are shapes of the internal BlockAlgebra, whose
+product is ``groups.block_product``. A group convolution algebra
+multiplies through ``fourier.convolve_values`` (block products for a
+builtin group of order >= 64, else the table gather) and reaches its
 blocks, the minimal ideals, through its registry's synthesis operator.
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import GroupMismatch, IncompleteRegistry
 from .fourier import convolve_values, delta_identity
-from .groups import GroupTable, IrrepRegistry, block_runs
+from .groups import GroupTable, IrrepRegistry, block_product
 
 
 class AlgebraDomain:
@@ -66,15 +68,7 @@ class BlockAlgebra(AlgebraDomain):
         self.dim = sum(d * d for d in self.dims)
 
     def mul(self, x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        out = np.empty((*lead, self.dim), dtype=np.result_type(x, y))
-        for d, pos in block_runs(self.dims):
-            xb = x[..., pos].reshape(*x.shape[:-1], len(pos), d, d)
-            yb = y[..., pos].reshape(*y.shape[:-1], len(pos), d, d)
-            # 1 x 1 blocks multiply as scalars, bit for bit the pointwise product
-            out[..., pos] = (xb * yb if d == 1 else xb @ yb).reshape(*lead, len(pos), d * d)
-        return out
+        return block_product(x, y, self.dims)
 
     def one(self):
         return np.concatenate([np.eye(d, dtype=np.complex128).reshape(-1) for d in self.dims])

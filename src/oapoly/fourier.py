@@ -17,20 +17,22 @@ The block of the central idempotent e_pi = dim_pi * chi_pi is the
 identity on its own irrep and zero on all others, which is what makes
 e_pi the unit of the minimal two-sided ideal it generates.
 
-Both directions are built once and reused. A group caches its quotient
-table ``quotient[s, t] = s^-1 t``, so a convolution is one gather of g
-through it and one mat-vec with f. A registry caches two operators: the
-analysis operator, taking values to the concatenated flattened blocks
-(1/N included), and for a complete registry the N x N synthesis
-operator, taking them back (dim_pi included). ``fourier`` and
+Both directions are built once and reused. A registry caches two
+operators: the analysis operator, taking values to the concatenated
+flattened blocks (1/N included), and for a complete registry the N x N
+synthesis operator, taking them back (dim_pi included). ``fourier`` and
 ``inverse_fourier`` are one matmul each, and the ideal components of
 ``decompose`` are read off one transform, each block mapped back by its
 slice of the synthesis operator (``GroupAlgebra.from_blocks`` is the
-whole operator). Powers go through
-``AlgebraDomain.product_power``. A batch of B convolutions is gathered
-in row chunks of at most 1 MiB, a size that stays in cache, so it holds
-B x N values plus one chunk, never the B x N x N gather. The caches are
-built on first use, never when a group is set up.
+whole operator). Powers go through ``AlgebraDomain.product_power``.
+A convolution on a builtin group of order >= 64 whose registry is still
+held (the table links it weakly, ``GroupTable.registry``) is analysis,
+reversed block products and synthesis; on any other table it is one
+gather of g through the cached quotient table ``s^-1 t`` and one mat-vec
+with f. A batch of B convolutions runs in row chunks of at most 1 MiB
+of temporaries, a size that stays in cache, so it holds B x N values
+plus one chunk, never the B x N x N gather. The caches are built on
+first use, never when a group is set up.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ from numbers import Number
 import numpy as np
 
 from .errors import BadExponent, GroupMismatch, IncompleteRegistry
-from .groups import GroupTable, Irrep, IrrepRegistry, block_runs
+from .groups import GroupTable, Irrep, IrrepRegistry, block_product, block_runs
 from .jsonio import pairs_to_vector, matrix_to_pairs, require_object, vector_to_pairs
 
-# Largest gathered chunk of a batched convolution, in bytes.
+# Largest temporaries of one chunk of a batched convolution, in bytes.
 _CHUNK_BYTES = 1 << 20
+# Smallest order that convolves in block coordinates, given a linked registry.
+_BLOCK_ORDER = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,25 +129,41 @@ def random_element(group: GroupTable, rng: np.random.Generator) -> AlgElement:
     return AlgElement(group, vals)
 
 
+def _rows_times(x: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Each row of x times op on its own: a GEMM's row need not equal the lone product."""
+    return np.matmul(x[:, None, :], op)[:, 0]
+
+
 def convolve_values(fv: np.ndarray, gv: np.ndarray, group: GroupTable) -> np.ndarray:
     """Direct convolution on raw value arrays; batches over leading axes.
 
-    One pair is one gather of g through the quotient table and one
-    mat-vec. A batch is gathered in row chunks of at most 1 MiB (at least
-    one row), so its memory is the B x N operands and result plus one chunk.
+    A builtin group of order >= 64 with its registry held convolves each
+    row in block coordinates, fourier(f * g) = ghat fhat, transforming a
+    square (``fv is gv``) once; any other table gathers. A batch runs in
+    row chunks whose temporaries stay within 1 MiB (at least one row),
+    and each row is computed alone, bit for bit its single pair.
     """
     fv, gv = np.asarray(fv), np.asarray(gv)
-    quotient, n = group.quotient, group.order
-    if fv.ndim == 1 and gv.ndim == 1:
-        return fv @ np.take(gv, quotient) / n
+    n = group.order
+    registry = group.registry if n >= _BLOCK_ORDER else None
+    if registry is None and fv.ndim == 1 and gv.ndim == 1:
+        return fv @ np.take(gv, group.quotient) / n
+    square = fv is gv
     fb, gb = np.broadcast_arrays(fv, gv)
     shape = fb.shape
     fb, gb = fb.reshape(-1, n), gb.reshape(-1, n)
     out = np.empty(fb.shape, dtype=np.result_type(fb, gb, 1.0))
-    rows = max(1, _CHUNK_BYTES // (gb.itemsize * n * n))
+    # a gathered row is N x N values; a block row about eight complex N-vectors
+    rows = max(1, _CHUNK_BYTES // (gb.itemsize * n * n if registry is None else 8 * 16 * n))
     for start in range(0, len(fb), rows):
         chunk = slice(start, start + rows)
-        out[chunk] = np.matmul(fb[chunk, None, :], np.take(gb[chunk], quotient, axis=1))[:, 0] / n
+        if registry is None:
+            out[chunk] = _rows_times(fb[chunk], np.take(gb[chunk], group.quotient, axis=1)) / n
+        else:
+            fhat = _rows_times(fb[chunk], registry.analysis.T)
+            ghat = fhat if square else _rows_times(gb[chunk], registry.analysis.T)
+            prod = _rows_times(block_product(ghat, fhat, registry.dims), registry.synthesis.T)
+            out[chunk] = prod if out.dtype.kind == "c" else prod.real
     return out.reshape(shape)
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -54,6 +55,20 @@ def block_runs(dims: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
     )
 
 
+def block_product(x: np.ndarray, y: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Blockwise products x y of concatenated row-major blocks of sizes
+    ``dims``; leading axes batch and broadcast."""
+    x, y = np.asarray(x), np.asarray(y)
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    out = np.empty((*lead, sum(d * d for d in dims)), dtype=np.result_type(x, y))
+    for d, pos in block_runs(dims):
+        xb = x[..., pos].reshape(*x.shape[:-1], len(pos), d, d)
+        yb = y[..., pos].reshape(*y.shape[:-1], len(pos), d, d)
+        # 1 x 1 blocks multiply as scalars, bit for bit the pointwise product
+        out[..., pos] = (xb * yb if d == 1 else xb @ yb).reshape(*lead, len(pos), d * d)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """A finite group on element indices 0..order-1."""
@@ -63,6 +78,8 @@ class GroupTable:
     mult: np.ndarray
     inv: np.ndarray
     identity: int
+    # weak, so the registry (which holds the table) forms no cycle with it
+    _registry_ref: weakref.ref | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mult = _readonly(np.ascontiguousarray(self.mult, dtype=np.int64))
@@ -79,6 +96,11 @@ class GroupTable:
             raise DimensionMismatch("mult/inv tables do not match the declared order")
         if not 0 <= self.identity < self.order:
             raise ValueError("identity index out of range")
+
+    @property
+    def registry(self) -> IrrepRegistry | None:
+        """The registry builtin_group built with this table while held elsewhere, else None."""
+        return self._registry_ref() if self._registry_ref is not None else None
 
     @cached_property
     def quotient(self) -> np.ndarray:
@@ -392,26 +414,30 @@ def builtin_group(kind: str, param: int) -> tuple[GroupTable, IrrepRegistry]:
 
     kind is one of "cyclic" (param >= 1), "dihedral" (param >= 3, order
     2*param), "symmetric" (param in {3, 4}) or "quaternion" (param 8).
+    The table keeps a weak link to the registry, its ``registry``.
     """
     if kind == "cyclic":
         if not 1 <= param <= MAX_ORDER:
             raise UnsupportedGroup(f"cyclic parameter {param} outside 1..{MAX_ORDER}")
-        return _cyclic(param)
-    if kind == "dihedral":
+        group, registry = _cyclic(param)
+    elif kind == "dihedral":
         if not 3 <= param <= MAX_ORDER // 2:
             raise UnsupportedGroup(
                 f"dihedral parameter {param} outside 3..{MAX_ORDER // 2}"
             )
-        return _dihedral(param)
-    if kind == "symmetric":
+        group, registry = _dihedral(param)
+    elif kind == "symmetric":
         if param not in (3, 4):
             raise UnsupportedGroup("symmetric groups are supported for param in {3, 4}")
-        return _symmetric(param)
-    if kind == "quaternion":
+        group, registry = _symmetric(param)
+    elif kind == "quaternion":
         if param != 8:
             raise UnsupportedGroup("the quaternion menu entry is the order-8 group")
-        return _quaternion()
-    raise UnsupportedGroup(f"unknown group kind {kind!r}")
+        group, registry = _quaternion()
+    else:
+        raise UnsupportedGroup(f"unknown group kind {kind!r}")
+    object.__setattr__(group, "_registry_ref", weakref.ref(registry))
+    return group, registry
 
 
 _NAME_RE = re.compile(r"^(z|d|s|q)(\d+)$")

@@ -23,9 +23,10 @@ from oapoly import (
     pn_bound,
     power,
     random_element,
+    span_check,
 )
-from oapoly.fourier import _CHUNK_BYTES, convolve_values, fourier
-from oapoly.groups import Irrep, IrrepRegistry
+from oapoly.fourier import _BLOCK_ORDER, _CHUNK_BYTES, convolve_values, fourier
+from oapoly.groups import GroupTable, Irrep, IrrepRegistry
 
 
 def block_element(registry, index, matrix):
@@ -350,22 +351,74 @@ def test_batched_convolution_over_several_chunks_matches_reference(name):
     assert np.abs(convolve_values(fv, gv[0], group) - reference_convolution(fv, gv[0], group)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["s3", "q8", "s4", "z64", "d128", "z256", "z512"])
-def test_batched_convolution_rows_equal_single_pairs_exactly(name):
-    group, _ = builtin_group_by_name(name)
-    row_bytes = 16 * group.order**2
-    if name == "z512":
+def unlinked(group):
+    """The same table with no registry link, so it always gathers."""
+    return GroupTable(group.name, group.order, group.mult, group.inv, group.identity)
+
+
+def random_rows(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+ROW_CASES = ["s3", "q8", "s4", "z64", "d128", "z256", "z512"]
+ROW_CASES += [name + "-unlinked" for name in ROW_CASES[3:]]
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_batched_convolution_rows_equal_single_pairs_exactly(case):
+    name, _, copy = case.partition("-")
+    group, registry = builtin_group_by_name(name)  # held, so the link stays live
+    blocks = not copy and group.order >= _BLOCK_ORDER
+    if copy:
+        group = unlinked(group)
+    # a gathered row holds N x N values, a block row a few N-vectors
+    row_bytes = 128 * group.order if blocks else 16 * group.order**2
+    if name == "z512" and copy:
         assert row_bytes > _CHUNK_BYTES  # one gathered row exceeds a chunk
-    rows = max(1, _CHUNK_BYTES // row_bytes)
     rng = np.random.default_rng(group.order)
-    shape = (rows + 2, group.order)  # crosses a chunk boundary
-    fv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    gv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    batched = convolve_values(fv, gv, group)
-    for row in range(shape[0]):
-        assert np.array_equal(batched[row], convolve_values(fv[row], gv[row], group)), row
+    shape = (max(1, _CHUNK_BYTES // row_bytes) + 2, group.order)  # crosses a chunk boundary
+    fv, gv = random_rows(rng, shape), random_rows(rng, shape)
+    for second in (gv, fv):  # a square is transformed once
+        batched = convolve_values(fv, second, group)
+        for row in range(shape[0]):
+            assert np.array_equal(batched[row], convolve_values(fv[row], second[row], group)), row
+    assert ("quotient" in vars(group)) != blocks  # the block route never gathers
 
 
+BLOCK_GROUPS = ["z64", "d64", "z128", "d128", "z256", "d256", "z512"]
+
+
+def relative_error(value, reference):
+    return np.abs(value - reference).max() / np.abs(reference).max()
+
+
+@pytest.mark.parametrize("name", BLOCK_GROUPS)
+def test_block_products_match_the_gather(name):
+    group, registry = builtin_group_by_name(name)
+    bare = unlinked(group)
+    rng = np.random.default_rng(group.order + 1)
+    # more rows than one chunk of either route holds
+    fv = random_rows(rng, (_CHUNK_BYTES // (128 * group.order) + 3, group.order))
+    gv = random_rows(rng, fv.shape)
+    for f, g in ((fv, gv), (fv[0], gv[0]), (fv, gv[1])):
+        assert relative_error(convolve_values(f, g, group), convolve_values(f, g, bare)) <= 1e-13
+    for f in (fv, fv[0]):
+        for n in (2, 3):
+            power = GroupAlgebra(group).product_power(f, n)
+            assert relative_error(power, GroupAlgebra(bare).product_power(f, n)) <= 1e-13
+    # fourier(f * g) = ghat fhat, not fhat ghat
+    rep = max(registry.irreps, key=lambda rep: rep.dim)
+    product = convolve_values(fv[0], gv[0], group)
+    fhat, ghat, hhat = (fourier(AlgElement(group, v), registry).blocks[registry.irreps.index(rep)]
+                        for v in (fv[0], gv[0], product))
+    assert np.abs(hhat - ghat @ fhat).max() <= 1e-13 * np.abs(hhat).max()
+    assert "quotient" not in vars(group)
+
+
+@pytest.mark.parametrize("name", ["z512", "d256"])
+def test_span_check_at_the_cap(name):
+    group, _ = builtin_group_by_name(name)
+    assert span_check(group, 2, seed=1)["rank"] == 512
 def haar_unitary(rng, d):
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from oapoly import (
     DimensionMismatch,
+    GroupAlgebra,
     GroupMismatch,
     GroupTable,
     Irrep,
@@ -349,3 +351,32 @@ def test_generators_are_built_once_per_table(monkeypatch, tmp_path):
     path.write_text(json.dumps(group_to_json(group, registry)))
     assert cli.main(["group", "validate", "--group-file", str(path), "--output", str(tmp_path / "out.json")]) == 0
     assert len(tables) == 2 and tables[1] is not group
+
+
+def test_builtin_tables_link_their_registry_weakly():
+    group, registry = builtin_group_by_name("z64")
+    assert group.registry is registry
+    rng = np.random.default_rng(4)
+    fv = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    cubes = GroupAlgebra(group).product_power(fv, 3)
+    del registry
+    assert group.registry is None
+    np.testing.assert_allclose(GroupAlgebra(group).product_power(fv, 3), cubes, rtol=1e-13)
+    # t -> 63 - t, a relabelled copy of the same group
+    relabelled = GroupTable(group.name, 64, 63 - group.mult[::-1, ::-1], 63 - group.inv[::-1], 63)
+    assert validate_group(relabelled).ok
+    assert relabelled.registry is None
+    assert group_from_json(group_to_json(group))[0].registry is None
+
+
+def test_building_and_dropping_builtins_leaves_no_cycles():
+    gc.collect()
+    gc.disable()  # so no automatic collection hides a cycle
+    try:
+        for name in ("z512", "d256", "s4", "q8", "z64"):
+            group, registry = builtin_group_by_name(name)
+            GroupAlgebra(group, registry).product_power(GroupAlgebra(group).one(), 2)
+            del group, registry
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
