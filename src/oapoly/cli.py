@@ -49,14 +49,15 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _at_least(kind, low):
-    """argparse type: a finite `kind` (int or float) >= low; anything
-    else is a usage error."""
+def _in_range(kind, low, high=math.inf):
+    """argparse type: a finite `kind` (int or float) in [low, high];
+    anything else is a usage error."""
+    bounds = f">= {low}" if high == math.inf else f"in {low}..{high}"
 
     def parse(text: str):
         value = kind(text)
-        if not low <= value < math.inf:  # NaN fails both comparisons
-            raise argparse.ArgumentTypeError(f"must be a finite {kind.__name__} >= {low}, got {text!r}")
+        if not (low <= value <= high and value < math.inf):  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"must be a finite {kind.__name__} {bounds}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its messages
@@ -308,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = oadd_sub.add_parser("check")
     check.add_argument("--poly", required=True, help="polynomial JSON file")
     _add_group(check)
-    check.add_argument("--pairs", type=_at_least(int, 1), default=200)
-    check.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
+    check.add_argument("--pairs", type=_in_range(int, 1), default=200)
+    check.add_argument("--tol", type=_in_range(float, 0), default=1e-9)
     _add_common(check, _cmd_oadd_check)
 
     rep = top.add_parser("represent", help="representing-map extraction and checks")
@@ -318,17 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--poly", required=True)
     _add_group(extract)
     extract.add_argument(
-        "--pairs", type=_at_least(int, 1), default=120, help="ignored; the pair check is `oadd check`"
+        "--pairs", type=_in_range(int, 1), default=120, help="ignored; the pair check is `oadd check`"
     )
-    extract.add_argument("--samples", type=_at_least(int, 1), default=200)
-    extract.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
+    extract.add_argument("--samples", type=_in_range(int, 1), default=200)
+    extract.add_argument("--tol", type=_in_range(float, 0), default=1e-9)
     _add_common(extract, _cmd_represent_extract)
     verify = rep_sub.add_parser("verify")
     verify.add_argument("--poly", required=True)
     verify.add_argument("--phi", required=True, help="LinearMap JSON file")
     _add_group(verify)
-    verify.add_argument("--samples", type=_at_least(int, 1), default=200)
-    verify.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
+    verify.add_argument("--samples", type=_in_range(int, 1), default=200)
+    verify.add_argument("--tol", type=_in_range(float, 0), default=1e-9)
     _add_common(verify, _cmd_represent_verify)
 
     norms = top.add_parser("norms", help="decomposition-norm certificates")
@@ -336,13 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     certify = norms_sub.add_parser("certify")
     _add_group(certify)
     certify.add_argument("--input", required=True, help="AlgElement JSON file")
-    certify.add_argument("--n", type=_at_least(int, 1), required=True)
-    certify.add_argument("--refine", type=_at_least(int, 0), default=0, help="refinement iterations")
+    degree = _in_range(int, 1, certificates.MAX_NORM_DEGREE)
+    certify.add_argument("--n", type=degree, required=True, help=f"degree, 1..{certificates.MAX_NORM_DEGREE}")
+    certify.add_argument("--refine", type=_in_range(int, 0), default=0, help="refinement iterations")
     _add_common(certify, _cmd_norms_certify)
     chain = norms_sub.add_parser("chain")
     _add_group(chain)
     chain.add_argument("--input", required=True)
-    chain.add_argument("--n", type=_at_least(int, 1), required=True)
+    chain.add_argument("--n", type=degree, required=True, help=f"degree, 1..{certificates.MAX_NORM_DEGREE}")
     _add_common(chain, _cmd_norms_chain, seed=False)
 
     circ = top.add_parser("circle", help="circle kernels and divergence diagnostics")
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(fej, _cmd_circle_fejer, seed=False, fmt=True)
     diagnose = circ_sub.add_parser("diagnose")
     diagnose.add_argument("--example", required=True, choices=["4.1", "4.2", "4.3"])
-    diagnose.add_argument("--p", type=_at_least(float, 1))
+    diagnose.add_argument("--p", type=_in_range(float, 1))
     diagnose.add_argument("--m", type=_int_list)
     diagnose.add_argument("--N", type=_positive_int_list)
     _add_common(diagnose, _cmd_circle_diagnose, seed=False, fmt=True)

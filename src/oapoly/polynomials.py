@@ -5,7 +5,9 @@ map phi with phi(x, ..., x) = P(x), recovered by the signed average
 
     phi(x_1, ..., x_n)
         = 1/(n! 2^n) sum over signs e_i = +-1 of
-          e_1 ... e_n P(e_1 x_1 + ... + e_n x_n).
+          e_1 ... e_n P(e_1 x_1 + ... + e_n x_n),
+
+which `polarization` collapses to one row per class of sign patterns.
 
 P is orthogonally additive when P(a+b) = P(a) + P(b) whenever
 a b = b a = 0. The pair generator below builds such zero products on
@@ -28,7 +30,7 @@ from .errors import HomogeneityViolation, NotOrthogonal
 from .fourier import _CHUNK_BYTES
 from .jsonio import complex_to_pair, finite_or_null, json_field, pair_to_complex, pairs_to_vector
 
-MAX_DEGREE = 6  # polarization costs 2^n evaluations per tuple
+MAX_DEGREE = 6  # n distinct factors polarize through 2^(n-1) evaluations
 
 # zero products are accepted when |xy| <= ORTHO_SCALE * |x| |y|
 ORTHO_SCALE = 1e-12
@@ -164,19 +166,47 @@ def check_homogeneity(P: HomPoly, rng: np.random.Generator) -> float:
     return worst
 
 
+def polarization(xs: Sequence[np.ndarray], domain: AlgebraDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Rows r_k and weights w_k with sum_k w_k Q(r_k) = phi(x_1, ..., x_n)
+    for every n-homogeneous Q with symmetric n-linear form phi: the sum
+    above, one row per class of sign patterns. Each factor is split as
+    x = s u, s its norm times the phase of its largest entry, and the
+    scalars go into the weights, so sum_k |w_k| |r_k|^n is exactly
+    |lambda|-homogeneous. A unit taken m times (equal bytes) enters as
+    (m - 2c) u over c minus signs, weighted (-1)^c binom(m, c); the
+    counts c and m - c give r and -r, the same term, so the first half
+    is kept at double weight. n distinct factors give 2^(n-1) rows,
+    (delta, ..., delta, a) gives n, and a zero factor gives none.
+    """
+    scale = 1.0 / (math.factorial(len(xs)) * 2 ** (len(xs) - 1))
+    units: dict[bytes, list] = {}
+    for x in np.asarray(xs, dtype=np.complex128):
+        size = domain.norm(x)
+        if size == 0.0:
+            return np.zeros((0, domain.dim), dtype=np.complex128), np.zeros(0, dtype=np.complex128)
+        peak = x[np.argmax(np.abs(x))]
+        scalar = size * peak / abs(peak)
+        scale, u = scale * scalar, x / scalar
+        units.setdefault(u.tobytes(), [u, 0])[1] += 1
+    vectors, mults = zip(*units.values())
+    counts = np.array(list(itertools.product(*(range(m + 1) for m in mults))))
+    counts = counts[: len(counts) // 2]
+    signed = [np.array([(-1.0) ** c * math.comb(m, c) for c in range(m + 1)]) for m in mults]  # floats never wrap
+    weights = scale * np.prod([table[c] for table, c in zip(signed, counts.T)], axis=0)
+    return (np.array(mults) - 2 * counts) @ np.array(vectors), weights
+
+
 def polarize(P: HomPoly, seed: int = 0) -> Callable[..., np.ndarray]:
     """The unique symmetric n-linear map whose diagonal is P, as a
     function of n coefficient vectors returning its (m,) value; each
-    evaluation is one call of P on the stack of its 2^n signed sums."""
-    n = P.degree
-    if n > MAX_DEGREE:
+    evaluation is one call of P on the rows of `polarization`."""
+    if P.degree > MAX_DEGREE:
         raise ValueError(f"polarization degree capped at {MAX_DEGREE}")
     check_homogeneity(P, np.random.default_rng(seed))
-    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.complex128)
-    weights = signs.prod(axis=1) / (math.factorial(n) * 2**n)
 
     def evaluate(*xs):
-        return weights @ P(signs @ np.stack(xs))
+        rows, weights = polarization(xs, P.domain)
+        return weights @ P(rows)
 
     return evaluate
 
@@ -210,26 +240,12 @@ def tensor_of(P: HomPoly) -> dict:
 
 def sym_product(xs: Sequence[np.ndarray], domain: AlgebraDomain) -> np.ndarray:
     """Symmetrized product of coefficient vectors: the average of all
-    products over orderings. sym_product([a] * n, domain) is the plain
-    n-th power.
-
-    Computed as the polarization of x -> x^n in one batched product
-    power: the sum over the 2^(n-1) sign rows e with e_1 = +1 (the row
-    -e gives the same term) of e_1...e_n (sum_i e_i x_i)^n, over
-    2^(n-1) n!. Each factor is scaled to norm one and the product of
-    the norms multiplied back in, which keeps the cancellation between
-    rows at round-off of the result's size; a zero factor gives zero.
-    """
-    n = len(xs)
-    if n == 0:
+    products over orderings, so sym_product([a] * n, domain) is a^n;
+    one batched product power of the rows of `polarization`."""
+    if len(xs) == 0:
         raise ValueError("need at least one factor")
-    xs = np.asarray(xs, dtype=np.complex128)
-    norms = np.array([domain.norm(x) for x in xs])
-    if not norms.all():
-        return np.zeros(domain.dim, dtype=np.complex128)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))[: 2 ** (n - 1)]
-    powers = domain.product_power(signs @ (xs / norms[:, None]), n)
-    return signs.prod(axis=1) @ powers * (norms.prod() / (2 ** (n - 1) * math.factorial(n)))
+    rows, weights = polarization(xs, domain)
+    return weights @ domain.product_power(rows, len(xs))
 
 
 # ---------------------------------------------------------------------------

@@ -230,12 +230,12 @@ def test_chain_check_sum_of_idempotents():
 def test_pn_from_sn_respects_polarization_slack():
     group, _ = builtin_group_by_name("s3")
     rng = np.random.default_rng(4)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 13):
         a = random_element(group, rng)
         sn = sn_bound(a, n)
         pn_cert = pn_from_sn(sn.certificate)
         assert verify_certificate(pn_cert).passed
-        assert len(pn_cert.parts) == 2**n
+        assert len(pn_cert.parts) == n  # one part per sign class of (delta, ..., delta, a)
         assert pn_cert.claimed_bound <= (n**n / math.factorial(n)) * sn.upper + 1e-9
 
 
@@ -351,7 +351,7 @@ def test_stacked_block_roots_match_the_per_block_loop(name, n, monkeypatch):
     for block, root in zip(fourier(got[0][0], registry).blocks, roots):
         assert_relative(block, root)
     claimed = {len(c.parts): c for c in every_candidate(a, n, registry, monkeypatch)}
-    assert 2**n in claimed and len(claimed) == 3  # the polarization expansion and the two root candidates
+    assert n in claimed and len(claimed) == 3  # the polarization expansion and the two root candidates
     for got_parts, want_parts in zip(got, want):
         assert len(got_parts) == len(want_parts)
         for part, expected in zip(got_parts, want_parts):
@@ -433,4 +433,4 @@ def test_a_failed_block_size_drops_both_root_candidates(fault, monkeypatch):
     with np.errstate(invalid="ignore"):  # inf times the zeros of the eigenvector stack
         assert _block_root_parts(a, 3, registry) is None
         bound = pn_bound(a, 3, registry)
-    assert bound.verification.passed and len(bound.certificate.parts) == 2**3
+    assert bound.verification.passed and len(bound.certificate.parts) == 3  # the polarization expansion

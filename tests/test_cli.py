@@ -1,6 +1,10 @@
 import argparse
 import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -317,6 +321,8 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
     [
         ["norms", "certify", "--n", "0"],
         ["norms", "chain", "--n", "0"],
+        ["norms", "certify", "--n", str(certificates.MAX_NORM_DEGREE + 1)],
+        ["norms", "chain", "--n", "40"],
         ["norms", "certify", "--n", "2", "--refine", "-3"],
         ["circle", "diagnose", "--example", "4.2", "--N", "16,0"],
         ["oadd", "check", "--pairs", "0"],
@@ -336,6 +342,8 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
     ids=[
         "certify-n",
         "chain-n",
+        "certify-n-above-cap",
+        "chain-n-above-cap",
         "certify-refine",
         "diagnose-N",
         "oadd-pairs",
@@ -363,6 +371,32 @@ def test_out_of_range_flag_is_usage_error(argv, s3_files, capsys):
     err = capsys.readouterr().err
     assert stop.value.code == 2
     assert f"argument {argv[-2]}" in err and "Traceback" not in err
+
+
+def test_certify_at_degree_20_stays_small(tmp_path):
+    # one part per sign class: the expansion of (delta, ..., delta, a) would be 2^20 parts
+    values = np.random.default_rng(1).standard_normal((32, 2)).tolist()
+    element = tmp_path / "element_d16.json"
+    element.write_text(json.dumps({"group": "d16", "values": values}))
+    limit = 1 << 30
+
+    def within_one_gib():  # the child process only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["norms", "certify", "--group", "d16", "--input", str(element), "--n", "20"]
+    # one BLAS thread: BLAS reserves address space per thread, which is not what this bounds
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(cli.__file__).parents[1]),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "oapoly.cli", *argv],
+        env=env, preexec_fn=within_one_gib, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["pass"] is True
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -26,7 +26,14 @@ from oapoly import (
     verify_representation,
 )
 from oapoly.fourier import _CHUNK_BYTES
-from oapoly.polynomials import _unit_slot, check_homogeneity, polarize, poly_from_json, poly_to_json
+from oapoly.polynomials import (
+    _unit_slot,
+    check_homogeneity,
+    polarization,
+    polarize,
+    poly_from_json,
+    poly_to_json,
+)
 
 
 def scalar_poly(degree, func):
@@ -187,14 +194,20 @@ def permutation_average(xs, domain):
 def test_sym_product_is_the_average_over_orderings_at_every_scale(name):
     domain = MatrixAlgebra(3) if name == "matrix3" else GroupAlgebra(builtin_group_by_name(name)[0])
     rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 5):
-        for _ in range(3):
-            # factors of mixed sizes, as in the certificate tuples (delta, ..., delta, a)
-            scales = 10.0 ** (6 * rng.integers(-1, 2, size=n))
-            xs = [scale * domain.random(rng) for scale in scales]
-            reference = permutation_average(xs, domain)
-            error = domain.norm(sym_product(xs, domain) - reference) / domain.norm(reference)
-            assert error <= 1e-14, (n, scales, error)
+    for repeated, n, draw in itertools.product((False, True), (1, 2, 3, 5), range(3)):
+        # factors of mixed sizes, as in the certificate tuples (delta, ..., delta, a)
+        scales = 10.0 ** (6 * rng.integers(-1, 2, size=n))
+        xs = [scale * domain.random(rng) for scale in scales]
+        rows = 2 ** (n - 1)
+        if repeated:
+            # [delta] * k + [a] + [b] * m; the first draw is (delta, ..., delta, a)
+            k = n - 1 if draw == 0 else int(rng.integers(0, n))
+            xs = [scales[0] * domain.one()] * k + [xs[k]] + [xs[-1]] * (n - 1 - k)
+            rows = (k + 1) * (n - k)  # 2(k + 1)(m + 1) sign classes, halved by r ~ -r; n at k = n - 1
+        assert len(polarization(xs, domain)[0]) == rows
+        reference = permutation_average(xs, domain)
+        error = domain.norm(sym_product(xs, domain) - reference) / domain.norm(reference)
+        assert error <= 1e-14, (repeated, n, scales, error)
 
 
 def test_sym_product_with_a_zero_factor_is_zero():
