@@ -45,8 +45,9 @@ def _env_seed() -> int:
         raise OapolyError(f"OAPOLY_SEED must be an integer, got {text!r}") from None
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+# Work caps (build_parser): one list entry, or all of --refine, at its cap takes
+# about 1 s on one core and far below 1 GiB; README "CLI" has the measurements.
+MAX_LIST_ENTRIES = 8
 
 
 def _in_range(kind, low, high=math.inf):
@@ -64,11 +65,19 @@ def _in_range(kind, low, high=math.inf):
     return parse
 
 
-def _positive_int_list(text: str) -> list[int]:
-    values = _int_list(text)
-    if any(value < 1 for value in values):
-        raise argparse.ArgumentTypeError(f"every entry must be >= 1, got {text!r}")
-    return values
+def _int_list(low: int, high: int):
+    """argparse type: at most MAX_LIST_ENTRIES comma-separated ints, each in
+    [low, high]. Its name says so, in usage errors and as --help's %(type)s."""
+    entry = _in_range(int, low, high)
+
+    def parse(text: str) -> list[int]:
+        values = [entry(part) for part in text.split(",") if part.strip()]
+        if len(values) > MAX_LIST_ENTRIES:
+            raise argparse.ArgumentTypeError(f"must hold at most {MAX_LIST_ENTRIES} entries, got {text!r:.80}")
+        return values
+
+    parse.__name__ = f"list of up to {MAX_LIST_ENTRIES} ints in {low}..{high}"
+    return parse
 
 
 def _load_json(path: str) -> dict:
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--input", required=True, help="AlgElement JSON file")
     degree = _in_range(int, 1, certificates.MAX_NORM_DEGREE)
     certify.add_argument("--n", type=degree, required=True, help=f"degree, 1..{certificates.MAX_NORM_DEGREE}")
-    certify.add_argument("--refine", type=_in_range(int, 0), default=0, help="refinement iterations")
+    certify.add_argument("--refine", type=_in_range(int, 0, 1000), default=0, help="refinement iterations, 0..1000")
     _add_common(certify, _cmd_norms_certify)
     chain = norms_sub.add_parser("chain")
     _add_group(chain)
@@ -350,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     circ = top.add_parser("circle", help="circle kernels and divergence diagnostics")
     circ_sub = circ.add_subparsers(dest="subcommand", required=True)
     fej = circ_sub.add_parser("fejer")
-    fej.add_argument("--m", type=_int_list, default=[2, 10, 50])
+    fej.add_argument("--m", type=_int_list(0, 1 << 18), default=[2, 10, 50], help="orders: %(type)s")
     _add_common(fej, _cmd_circle_fejer, seed=False, fmt=True)
     diagnose = circ_sub.add_parser("diagnose")
     diagnose.add_argument("--example", required=True, choices=["4.1", "4.2", "4.3"])
     diagnose.add_argument("--p", type=_in_range(float, 1))
-    diagnose.add_argument("--m", type=_int_list)
-    diagnose.add_argument("--N", type=_positive_int_list)
+    diagnose.add_argument("--m", type=_int_list(1, 10**6), help="4.1 orders: %(type)s")
+    diagnose.add_argument("--N", type=_int_list(1, 1 << 16), help="4.2 and 4.3 orders: %(type)s")
     _add_common(diagnose, _cmd_circle_diagnose, seed=False, fmt=True)
 
     self_test = top.add_parser("selftest", help="run all module invariant suites")

@@ -1,7 +1,8 @@
 """Canonical JSON and complex-number serialization helpers.
 
-Canonical output is byte-deterministic: object keys sorted, floats
-printed with 17 significant digits, no whitespace surprises. Complex
+Canonical output is byte-deterministic: object keys sorted, no
+whitespace, each float written as its shortest round-trip repr (an
+integral float keeps its ".0"), and non-finite floats refused. Complex
 numbers travel as [re, im] pairs everywhere in the file formats. The
 loaders here (pairs, typed fields, integer tables) raise ValueError
 naming any value of the wrong type or shape.
@@ -9,54 +10,21 @@ naming any value of the wrong type or shape.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
 import numpy as np
 
 
-def _float_repr(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("non-finite float in canonical JSON output")
-    return format(x, ".17g")
-
-
-def _canonical(obj, out: list[str]) -> None:
-    if obj is None or obj is True or obj is False:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_repr(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string JSON key: {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _canonical(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _canonical(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot canonicalize {type(obj).__name__}")
-
-
 def canonical_dumps(obj) -> str:
-    """Serialize to deterministic JSON (sorted keys, fixed float format)."""
-    out: list[str] = []
-    _canonical(obj, out)
-    return "".join(out)
+    """Deterministic JSON: sorted keys, no whitespace, each float as its
+    shortest round-trip repr; a non-finite float raises ValueError."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"non-finite float in canonical JSON output: {exc}") from None
 
 
 def finite_or_null(x: float) -> float | None:
@@ -111,7 +79,7 @@ def int_array(value, what: str, ndim: int) -> np.ndarray:
 
 
 def vector_to_pairs(values) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(values).ravel()]
+    return matrix_to_pairs(np.ravel(values))
 
 
 def pairs_to_vector(pairs) -> np.ndarray:
@@ -121,8 +89,9 @@ def pairs_to_vector(pairs) -> np.ndarray:
 
 
 def matrix_to_pairs(mat) -> list[list[list[float]]]:
-    mat = np.asarray(mat)
-    return [[complex_to_pair(z) for z in row] for row in mat]
+    """[re, im] pairs of a complex array, nested as the array is."""
+    z = np.asarray(mat, dtype=np.complex128)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
 def pairs_to_matrix(rows) -> np.ndarray:
@@ -134,15 +103,12 @@ def pairs_to_matrix(rows) -> np.ndarray:
 
 
 def rows_to_csv(rows: list[dict], fieldnames: list[str]) -> str:
-    """Render table rows as CSV with the given column order."""
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        cells = []
-        for name in fieldnames:
-            value = row.get(name, "")
-            if isinstance(value, (float, np.floating)):
-                cells.append(_float_repr(float(value)))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """Render table rows as CSV with the given column order; floats as
+    their shortest round-trip repr, as in canonical JSON."""
+    if not all(math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float)):
+        raise ValueError("non-finite float in CSV output")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([row.get(name, "") for name in fieldnames] for row in rows)
+    return out.getvalue()

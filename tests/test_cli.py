@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oapoly.certificates as certificates
 import oapoly.cli as cli
@@ -28,7 +31,7 @@ from oapoly.cli import main
 from oapoly.errors import HomogeneityViolation, VerificationFailure
 from oapoly.fourier import element_to_json
 from oapoly.groups import group_to_json
-from oapoly.jsonio import canonical_dumps
+from oapoly.jsonio import canonical_dumps, rows_to_csv
 from oapoly.polynomials import poly_to_json, tensor_of
 from oapoly.represent import LinearMap, linear_map_to_json
 
@@ -324,7 +327,15 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
         ["norms", "certify", "--n", str(certificates.MAX_NORM_DEGREE + 1)],
         ["norms", "chain", "--n", "40"],
         ["norms", "certify", "--n", "2", "--refine", "-3"],
+        ["norms", "certify", "--n", "2", "--refine", "1001"],
         ["circle", "diagnose", "--example", "4.2", "--N", "16,0"],
+        ["circle", "diagnose", "--example", "4.2", "--N", "65537"],
+        ["circle", "diagnose", "--example", "4.3", "--N", "1,2,3,4,5,6,7,8,9"],
+        ["circle", "diagnose", "--example", "4.1", "--p", "1.5", "--m", "0"],
+        ["circle", "diagnose", "--example", "4.1", "--p", "1.5", "--m", "1000001"],
+        ["circle", "fejer", "--m", "-1"],
+        ["circle", "fejer", "--m", "262145"],
+        ["circle", "fejer", "--m", "2,x"],
         ["oadd", "check", "--pairs", "0"],
         ["represent", "extract", "--pairs", "0"],
         ["represent", "extract", "--samples", "0"],
@@ -345,7 +356,15 @@ def test_corrupted_input_is_usage_error(s3_files, capsys):
         "certify-n-above-cap",
         "chain-n-above-cap",
         "certify-refine",
+        "certify-refine-above-cap",
         "diagnose-N",
+        "diagnose-N-above-cap",
+        "diagnose-N-too-many",
+        "diagnose-m",
+        "diagnose-m-above-cap",
+        "fejer-m",
+        "fejer-m-above-cap",
+        "fejer-m-not-an-int",
         "oadd-pairs",
         "extract-pairs",
         "extract-samples",
@@ -373,17 +392,14 @@ def test_out_of_range_flag_is_usage_error(argv, s3_files, capsys):
     assert f"argument {argv[-2]}" in err and "Traceback" not in err
 
 
-def test_certify_at_degree_20_stays_small(tmp_path):
-    # one part per sign class: the expansion of (delta, ..., delta, a) would be 2^20 parts
-    values = np.random.default_rng(1).standard_normal((32, 2)).tolist()
-    element = tmp_path / "element_d16.json"
-    element.write_text(json.dumps({"group": "d16", "values": values}))
+def run_within_one_gib(argv, timeout):
+    """`python -m oapoly.cli argv` in a child process whose address space
+    alone is capped at 1 GiB."""
     limit = 1 << 30
 
     def within_one_gib():  # the child process only
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    argv = ["norms", "certify", "--group", "d16", "--input", str(element), "--n", "20"]
     # one BLAS thread: BLAS reserves address space per thread, which is not what this bounds
     env = dict(
         os.environ,
@@ -391,10 +407,50 @@ def test_certify_at_degree_20_stays_small(tmp_path):
         OPENBLAS_NUM_THREADS="1",
         OMP_NUM_THREADS="1",
     )
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "oapoly.cli", *argv],
-        env=env, preexec_fn=within_one_gib, capture_output=True, text=True, timeout=60,
+        env=env, preexec_fn=within_one_gib, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_certify_at_degree_20_stays_small(tmp_path):
+    # one part per sign class: the expansion of (delta, ..., delta, a) would be 2^20 parts
+    values = np.random.default_rng(1).standard_normal((32, 2)).tolist()
+    element = tmp_path / "element_d16.json"
+    element.write_text(json.dumps({"group": "d16", "values": values}))
+    argv = ["norms", "certify", "--group", "d16", "--input", str(element), "--n", "20"]
+    done = run_within_one_gib(argv, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["pass"] is True
+
+
+@pytest.fixture(scope="module")
+def z512_element(tmp_path_factory):
+    values = np.random.default_rng(1).standard_normal((512, 2)).tolist()
+    path = tmp_path_factory.mktemp("z512") / "element_z512.json"
+    path.write_text(json.dumps({"group": "z512", "values": values}))
+    return str(path)
+
+
+# each work cap, with the flag last: at its cap the command takes about 1 s
+WORK_CAPS = [
+    (["circle", "fejer", "--m"], 1 << 18),
+    (["circle", "diagnose", "--example", "4.1", "--p", "1.5", "--m"], 10**6),
+    (["circle", "diagnose", "--example", "4.2", "--N"], 1 << 16),
+    (["circle", "diagnose", "--example", "4.3", "--N"], 1 << 16),
+    (["norms", "certify", "--group", "z512", "--input", "{z512}", "--n", "3", "--refine"], 1000),
+]
+
+
+@pytest.mark.parametrize("argv, cap", WORK_CAPS, ids=["fejer-m", "4.1-m", "4.2-N", "4.3-N", "certify-refine"])
+def test_work_flags_are_capped(argv, cap, z512_element):
+    argv = [arg.format(z512=z512_element) for arg in argv]
+    # at 10^9 these ran out of memory or did not end; the parser refuses them at once
+    done = run_within_one_gib(argv + [str(10**9)], timeout=30)
+    assert done.returncode == 2 and f"argument {argv[-1]}" in done.stderr
+    assert "Traceback" not in done.stderr
+    # the cap itself runs, within 1 GiB; the timeout is far beyond the 1 s budget
+    done = run_within_one_gib(argv + [str(cap)], timeout=30)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["pass"] is True
 
@@ -644,3 +700,48 @@ def test_canonical_json_still_refuses_non_finite_floats():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="non-finite"):
             canonical_dumps({"max_residual": bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            rows_to_csv([{"ratio": bad}], ["ratio"])
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    finite_floats,
+    st.sampled_from([-0.0, 0.0, 1.0, 8.0, -24.0, 5e-324, 1.7976931348623157e308]),
+    finite_floats.map(np.float64),
+)
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def assert_same_json_value(written, read):
+    """read is written, with every float a float of the same bits."""
+    if isinstance(written, float):
+        assert type(read) is float and read.hex() == float(written).hex()
+    elif isinstance(written, dict):
+        assert list(read) == sorted(written)
+        for key in written:
+            assert_same_json_value(written[key], read[key])
+    elif isinstance(written, list):
+        assert type(read) is list and len(read) == len(written)
+        for item, back in zip(written, read):
+            assert_same_json_value(item, back)
+    else:
+        assert type(read) is type(written) and read == written
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(json_docs)
+def test_canonical_json_round_trips_every_value(doc):
+    text = canonical_dumps(doc)
+    read = json.loads(text)
+    assert_same_json_value(doc, read)  # an integral float reads back as a float
+    assert canonical_dumps(read) == text
+    outside_strings = re.sub(r'"(?:[^"\\]|\\.)*"', '""', text)
+    assert not any(char.isspace() for char in outside_strings)
