@@ -1,11 +1,11 @@
 """Truncated harmonic analysis on the unit circle.
 
 Everything here lives at the level of finitely supported Fourier
-coefficients: convolution multiplies coefficients slot by slot
-(chi_k * chi_k = chi_k and cross frequencies annihilate), the Fejér
-kernel family F_m realizes a norm-one positive approximate identity
-with coefficients 1 - |k|/(m+1), and Lp norms are evaluated by uniform
-quadrature at roots of unity with mandatory 4x oversampling.
+coefficients, kept as arrays: convolution multiplies coefficients slot
+by slot (chi_k * chi_k = chi_k and cross frequencies annihilate), the
+Fejér kernel family F_m realizes a norm-one positive approximate
+identity with coefficients 1 - |k|/(m+1), and Lp norms are evaluated by
+uniform quadrature at roots of unity with mandatory 4x oversampling.
 
 The three diagnostics exhibit the divergent quantities that obstruct a
 standard-form representation of coefficient-defined quadratic
@@ -21,52 +21,58 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .domains import PointwiseAlgebra
 from .errors import BadExponent, UnderSampled
+from .groups import _readonly
 from .jsonio import complex_to_pair
 from .polynomials import HomPoly, _unit_slot
 
 DEFAULT_QUADRATURE_POINTS = 1 << 14
+_SUM_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TrigPoly:
-    """A trigonometric polynomial as a finitely supported coefficient map."""
+    """A trigonometric polynomial as a finitely supported coefficient map
+    {k: c}, kept as read-only arrays: `freqs`, the sorted frequencies with
+    c != 0 (int64), and `values`, their c (complex128). Keys are cast with
+    `int` (of two equal casts the later nonzero c wins, as in a dict) and
+    values with `complex`; `coeffs`, the map as a dict, is built on use."""
 
-    coeffs: dict
+    freqs: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        cleaned = {}
-        for k, c in self.coeffs.items():
-            c = complex(c)
-            if c != 0:
-                cleaned[int(k)] = c
-        object.__setattr__(self, "coeffs", cleaned)
+    def __init__(self, coeffs: dict):
+        freqs = np.fromiter(map(int, coeffs), np.int64, len(coeffs))
+        values = np.fromiter(map(complex, coeffs.values()), np.complex128, len(coeffs))
+        keep = values != 0
+        freqs, last = np.unique(freqs[keep][::-1], return_index=True)
+        self._set(freqs, values[keep][::-1][last])
 
-    @property
+    def _set(self, freqs, values) -> "TrigPoly":
+        """Trusts `freqs` to be sorted and distinct and `values` nonzero."""
+        object.__setattr__(self, "freqs", _readonly(np.asarray(freqs, np.int64)))
+        object.__setattr__(self, "values", _readonly(np.asarray(values, np.complex128)))
+        return self
+
+    @cached_property
+    def coeffs(self) -> dict:
+        return dict(zip(self.freqs.tolist(), self.values.tolist()))
+
+    @cached_property
     def degree(self) -> int:
-        return max((abs(k) for k in self.coeffs), default=0)
+        return int(np.abs(self.freqs).max(initial=0))
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
+        return tuple(self.freqs.tolist())
 
     def coeff(self, k: int) -> complex:
         return self.coeffs.get(int(k), 0j)
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0j) + c
-        return TrigPoly(out)
-
-    def __mul__(self, scalar) -> "TrigPoly":
-        return TrigPoly({k: scalar * c for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
 
     def sample(self, points: int) -> np.ndarray:
         """Values at the `points`-th roots of unity (FFT evaluation)."""
@@ -75,9 +81,13 @@ class TrigPoly:
                 f"{points} points alias a polynomial of degree {self.degree}"
             )
         spectrum = np.zeros(points, dtype=np.complex128)
-        for k, c in self.coeffs.items():
-            spectrum[k % points] += c
+        # points > 2 * degree, so the slots are distinct and each gets 0 + c
+        spectrum[self.freqs % points] += self.values
         return points * np.fft.ifft(spectrum)
+
+
+def _from_arrays(freqs: np.ndarray, values: np.ndarray) -> TrigPoly:
+    return object.__new__(TrigPoly)._set(freqs, values)
 
 
 def chi(k: int) -> TrigPoly:
@@ -100,7 +110,8 @@ def fejer(m: int) -> TrigPoly:
     """
     if m < 0:
         raise ValueError("Fejér kernel order must be nonnegative")
-    return TrigPoly({k: 1.0 - abs(k) / (m + 1) for k in range(-m, m + 1)})
+    k = np.arange(-m, m + 1)
+    return _from_arrays(k, 1.0 - np.abs(k) / (m + 1))
 
 
 @dataclass(frozen=True)
@@ -161,14 +172,9 @@ def fejer_limit_check(weights: dict, f: TrigPoly, n: int, m_list) -> dict:
     for m in m_list:
         m = int(m)
         kernel = fejer(m)
-        support = tuple(
-            sorted(set(weights) | set(f.coeffs) | set(kernel.coeffs))
-        )
+        support = tuple(sorted(set(weights) | set(f.support) | set(kernel.support)))
         domain = PointwiseAlgebra(support)
-        slot = {k: i for i, k in enumerate(support)}
-        w_vec = np.zeros(len(support), dtype=np.complex128)
-        for k, c in weights.items():
-            w_vec[slot[k]] = c
+        w_vec = np.array([weights.get(k, 0j) for k in support])
 
         def evaluate(x, _w=w_vec):
             return np.array([np.sum(_w * x**n)])
@@ -206,16 +212,6 @@ def fejer_limit_check(weights: dict, f: TrigPoly, n: int, m_list) -> dict:
 # divergence diagnostics
 
 
-def default_dual_profile(s: float):
-    """Coefficient profile |k|^(-1/s) (1 at k = 0): q-summable but not
-    s-summable, the sharpest elementary witness of the gap s < q."""
-
-    def hhat(k: int) -> float:
-        return 1.0 if k == 0 else float(abs(k) ** (-1.0 / s))
-
-    return hhat
-
-
 def diagnostic_dual_growth(p: float, m_list, hcoeffs=None) -> dict:
     """Partial dual norms (sum_{|k|<=m} |hhat(k)|^s)^(1/s) for 1 < p < 2.
 
@@ -223,22 +219,31 @@ def diagnostic_dual_growth(p: float, m_list, hcoeffs=None) -> dict:
     s-th powers are 1 + 2 H_m (a harmonic sum), so the norms grow
     without bound while the companion column |phi_m|^s - 2 ln m
     stabilizes. A summable profile instead produces a bounded, flat
-    table (the convergent control case).
+    table (the convergent control case). The default profile hhat(k) =
+    |k|^(-1/s) (1 at k = 0) is q-summable but not s-summable, the
+    sharpest elementary witness of the gap s < q.
     """
     if not 1.0 < p < 2.0:
         raise BadExponent(f"dual-growth diagnostic needs p in (1, 2), got {p}")
     q = p / (p - 1.0)
     s = q / 2.0
     default_used = hcoeffs is None
-    if default_used:
-        hcoeffs = default_dual_profile(s)
     rows = []
     norms = []
     for m in m_list:
         m = int(m)
         if m < 1:
             raise ValueError("diagnostic rows need m >= 1")
-        power_sum = float(sum(abs(hcoeffs(k)) ** s for k in range(-m, m + 1)))
+        power_sum = 0.0
+        # left to right from k = -m, as Python's sum adds (np.sum would pair),
+        # in chunks that carry the running sum, so memory stays flat in m
+        for low in range(-m, m + 1, _SUM_CHUNK):
+            k = np.arange(low, min(low + _SUM_CHUNK, m + 1))
+            if default_used:
+                terms = np.power(np.abs(k), -1.0 / s, out=np.ones(k.size), where=k != 0) ** s
+            else:
+                terms = [abs(hcoeffs(j)) ** s for j in k.tolist()]
+            power_sum = float(np.cumsum(np.append(power_sum, terms))[-1])
         norm = power_sum ** (1.0 / s)
         rows.append(
             {
@@ -268,7 +273,8 @@ def diagnostic_dual_growth(p: float, m_list, hcoeffs=None) -> dict:
 
 def dirichlet(N: int) -> TrigPoly:
     """D_N = sum of chi_k for |k| <= N."""
-    return TrigPoly({k: 1.0 for k in range(-N, N + 1)})
+    k = np.arange(-N, N + 1)
+    return _from_arrays(k, np.ones_like(k))
 
 
 def diagnostic_kernel_blowup(p: float, N_list) -> dict:
@@ -313,7 +319,8 @@ def diagnostic_kernel_blowup(p: float, N_list) -> dict:
 
 def analytic_kernel(N: int) -> TrigPoly:
     """K_N = sum of chi_k for 0 <= k <= N."""
-    return TrigPoly({k: 1.0 for k in range(N + 1)})
+    k = np.arange(N + 1)
+    return _from_arrays(k, np.ones_like(k))
 
 
 def diagnostic_analytic_growth(N_list) -> dict:

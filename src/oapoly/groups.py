@@ -165,7 +165,7 @@ class IrrepRegistry:
                     f"{rep.matrices.shape[0]} elements, group has {self.group.order}"
                 )
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(rep.dim for rep in self.irreps)
 

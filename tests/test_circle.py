@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -217,3 +219,105 @@ def test_trig_poly_support_invariant():
 
 def test_analytic_kernel_definition():
     assert analytic_kernel(3).coeffs == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
+
+
+# The per-coefficient loops that the array-backed TrigPoly replaced, kept as
+# references: the array paths must reproduce them bit for bit.
+
+
+def _sample_by_loop(f, points):
+    spectrum = np.zeros(points, dtype=np.complex128)
+    for k, c in f.coeffs.items():
+        spectrum[k % points] += c
+    return points * np.fft.ifft(spectrum)
+
+
+def _same_bits(a, b):
+    # np.array_equal alone would let -0.0 stand for 0.0
+    return np.array_equal(a, b) and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _power_sum_by_loop(p, m):
+    # the scalar profile and loop; functools.reduce adds left to right, as
+    # the builtin sum does on Python 3.11 (3.12 made float sums compensated)
+    s = p / (p - 1.0) / 2.0
+    hhat = lambda k: 1.0 if k == 0 else float(abs(k) ** (-1.0 / s))
+    return float(functools.reduce(operator.add, (abs(hhat(k)) ** s for k in range(-m, m + 1)), 0))
+
+
+def test_sample_matches_the_coefficient_loop_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for trial in range(40):
+        degree = int(rng.integers(0, 300))
+        size = int(rng.integers(1, 2 * degree + 2))
+        keys = rng.choice(np.arange(-degree, degree + 1), size=size, replace=False)
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        values.real[rng.random(size) < 0.2] = -0.0
+        f = TrigPoly(dict(zip(keys.tolist(), values.tolist())))
+        # 2 * degree + 1 is the smallest grid that does not alias
+        for points in (2 * f.degree + 1, 2 * f.degree + 2, 4 * f.degree + 7):
+            assert _same_bits(f.sample(points), _sample_by_loop(f, points))
+
+
+def test_negative_zero_real_part_samples_like_the_loop():
+    f = TrigPoly({-2: complex(-0.0, 1.0), 0: complex(-0.0, -0.0), 3: complex(-0.0, 2.0)})
+    assert f.support == (-2, 3)
+    for points in (7, 8, 64):
+        assert _same_bits(f.sample(points), _sample_by_loop(f, points))
+    # on one point the loop's 0 + c turns -0.0 into 0.0, and so must sample
+    g = TrigPoly({0: complex(-0.0, 1.0)})
+    for points in (1, 2, 5):
+        assert _same_bits(g.sample(points), _sample_by_loop(g, points))
+
+
+def test_kernels_equal_their_dict_definitions():
+    for n in (0, 1, 2, 7, 100, 1001):
+        assert fejer(n).coeffs == {k: 1.0 - abs(k) / (n + 1) for k in range(-n, n + 1)}
+        assert dirichlet(n).coeffs == {k: 1.0 for k in range(-n, n + 1)}
+        assert analytic_kernel(n).coeffs == {k: 1.0 for k in range(n + 1)}
+        for kernel in (fejer(n), dirichlet(n), analytic_kernel(n)):
+            assert kernel.freqs.dtype == np.int64 and kernel.values.dtype == np.complex128
+            assert not kernel.freqs.flags.writeable and not kernel.values.flags.writeable
+    assert dirichlet(-1).coeffs == {} and analytic_kernel(-1).coeffs == {}
+
+
+def test_dict_constructor_casts_like_dict_assignment():
+    f = TrigPoly({np.int64(4): 1, 2.5: 3.0, 2: 0.0, -1: np.complex64(1j)})
+    assert f.coeffs == {-1: 1j, 2: 3.0, 4: 1.0} and f.support == (-1, 2, 4)
+    assert all(type(k) is int and type(c) is complex for k, c in f.coeffs.items())
+    # of two keys with one int, the later nonzero value wins
+    assert TrigPoly({2: 1.0, 2.5: 5.0}).coeffs == {2: 5.0}
+    assert TrigPoly({2: 1.0, 2.5: 0.0}).coeffs == {2: 1.0}
+    assert TrigPoly({}).degree == 0 and TrigPoly({}).support == ()
+
+
+def test_dual_growth_sums_equal_the_python_loop():
+    for m in (10, 100, 1000, 10**4, 10**5):
+        row = diagnostic_dual_growth(1.5, [m])["rows"][0]
+        assert row["phi_norm_pow_s"] == _power_sum_by_loop(1.5, m)
+    # at other exponents numpy's pow can move the last bit even here (p = 1.1)
+    for p in (1.1, 1.9):
+        row = diagnostic_dual_growth(p, [1000])["rows"][0]
+        assert row["phi_norm_pow_s"] == pytest.approx(_power_sum_by_loop(p, 1000), rel=1e-15)
+
+
+def test_dual_growth_sum_at_the_cap_is_within_one_rounding():
+    # numpy's pow and Python's differ in the last bit for some k, which the
+    # sum absorbs up to m = 10^5 but not always at 10^6
+    row = diagnostic_dual_growth(1.5, [10**6])["rows"][0]
+    assert row["phi_norm_pow_s"] == pytest.approx(_power_sum_by_loop(1.5, 10**6), rel=1e-15)
+
+
+def test_custom_profile_is_called_with_ints():
+    seen = []
+
+    def hhat(k):
+        seen.append(k)
+        return 1.0 / (1 + k * k)
+
+    # 40000 spans two chunks of the running sum
+    report = diagnostic_dual_growth(1.5, [3, 5, 40000], hcoeffs=hhat)
+    assert seen == [k for m in (3, 5, 40000) for k in range(-m, m + 1)]
+    assert all(type(k) is int for k in seen)
+    expected = functools.reduce(operator.add, (abs(hhat(k)) ** 1.5 for k in range(-40000, 40001)), 0)
+    assert report["rows"][-1]["phi_norm_pow_s"] == expected

@@ -380,3 +380,11 @@ def test_building_and_dropping_builtins_leaves_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", SMALL_BUILTINS + ["d128", "z512", "d256"])
+def test_registry_dims_are_cached_and_unchanged(name):
+    _, registry = builtin_group_by_name(name)
+    assert registry.dims is registry.dims
+    assert registry.dims == tuple(rep.dim for rep in registry.irreps)
+    assert sum(d * d for d in registry.dims) == registry.group.order
