@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import BlockAlgebra, GroupAlgebra
-from .fourier import AlgElement, convolve, delta_identity, element_from_json, fourier_flat, l1_norm
+from .fourier import AlgElement, element_from_json, fourier_flat, l1_norm
 from .groups import GroupTable, IrrepRegistry, block_runs
-from .jsonio import vector_to_pairs
+from .jsonio import pairs_to_vector, vector_to_pairs
 from .polynomials import polarization, sym_product
 
 RECON_TOL = 1e-10
@@ -46,11 +46,11 @@ class PnCertificate:
     degree: int
     claimed_bound: float = 0.0
 
-    def reconstruction(self) -> AlgElement:
+    def reconstruction(self) -> np.ndarray:
         group = self.target.group
         # one batch of all parts; no parts is an empty batch summing to zero
         values = np.reshape([part.values for part in self.parts], (-1, group.order))
-        return AlgElement(group, GroupAlgebra(group).product_power(values, self.degree).sum(axis=0))
+        return GroupAlgebra(group).product_power(values, self.degree).sum(axis=0)
 
     def recompute_bound(self) -> float:
         return float(sum(l1_norm(part) ** self.degree for part in self.parts))
@@ -65,11 +65,11 @@ class SnCertificate:
     degree: int
     claimed_bound: float = 0.0
 
-    def reconstruction(self) -> AlgElement:
+    def reconstruction(self) -> np.ndarray:
         total = np.zeros(self.target.group.order, dtype=np.complex128)
         for factors in self.tuples:
             total += sym_product([f.values for f in factors], GroupAlgebra(self.target.group))
-        return AlgElement(self.target.group, total)
+        return total
 
     def recompute_bound(self) -> float:
         return float(
@@ -107,7 +107,7 @@ class CertificateReport:
 def verify_certificate(cert: PnCertificate | SnCertificate) -> CertificateReport:
     """Recompute the reconstruction sum and the claimed bound."""
     target_norm = l1_norm(cert.target)
-    residual = l1_norm(cert.reconstruction() - cert.target)
+    residual = GroupAlgebra(cert.target.group).norm(cert.reconstruction() - cert.target.values)
     rel = residual / max(target_norm, 1.0)
     bound = cert.recompute_bound()
     bound_residual = abs(bound - cert.claimed_bound) / max(1.0, abs(cert.claimed_bound))
@@ -125,7 +125,7 @@ def sn_bound(a: AlgElement, n: int) -> NormBound:
     central norm-one unit, giving upper = |a|; the algebra norm is the
     universal lower bound, so lower = upper.
     """
-    delta = delta_identity(a.group)
+    delta = AlgElement(a.group, GroupAlgebra(a.group).one())
     factors = tuple([delta] * (n - 1) + [a])
     bound = float(math.prod(l1_norm(f) for f in factors))
     cert = SnCertificate(a, (factors,), n, bound)
@@ -147,7 +147,8 @@ def pn_from_sn(cert: SnCertificate) -> PnCertificate:
 
 
 def _is_idempotent(a: AlgElement) -> bool:
-    return l1_norm(convolve(a, a) - a) <= 1e-12 * max(1.0, l1_norm(a))
+    domain = GroupAlgebra(a.group)
+    return domain.norm(domain.mul(a.values, a.values) - a.values) <= 1e-12 * max(1.0, l1_norm(a))
 
 
 def _block_root_parts(a: AlgElement, n: int, registry: IrrepRegistry) -> tuple[list, list] | None:
@@ -219,7 +220,8 @@ def _refine_by_central_units(
     improves on the best so far; the caller verifies them."""
     rng = np.random.default_rng(seed)
     group = registry.group
-    delta = delta_identity(group)
+    domain = GroupAlgebra(group)
+    delta = AlgElement(group, domain.one())
     # c = sum_pi s_pi e_pi: the identity blocks, each scaled by its scalar
     one, sizes = BlockAlgebra(registry.dims).one(), [d * d for d in registry.dims]
     improving = []
@@ -230,8 +232,8 @@ def _refine_by_central_units(
             continue
         repeated = np.repeat(scalars, sizes)
         c = AlgElement(group, registry.synthesis @ (one * repeated))
-        c_inv = AlgElement(group, registry.synthesis @ (one / repeated))
-        factors = tuple([c] + [delta] * (n - 2) + [convolve(a, c_inv)])
+        c_inv = registry.synthesis @ (one / repeated)
+        factors = tuple([c] + [delta] * (n - 2) + [AlgElement(group, domain.mul(a.values, c_inv))])
         bound = float(math.prod(l1_norm(f) for f in factors))
         if bound < best_bound:
             candidate = pn_from_sn(SnCertificate(a, (factors,), n, bound))
@@ -292,20 +294,16 @@ def certificate_from_json(doc: dict, group: GroupTable):
     if doc["norm"] != "l1":
         raise ValueError(f"certificate norm must be \"l1\", got {doc['norm']!r}")
     bound = float(doc["claimed_bound"])
+
+    def element(values) -> AlgElement:
+        return AlgElement(group, pairs_to_vector(values))
+
     if doc["type"] == "pn":
-        parts = tuple(
-            element_from_json({"group": doc["group"], "values": values}, group)
-            for values in doc["parts"]
-        )
-        return PnCertificate(target, parts, degree, bound)
-    tuples = tuple(
-        tuple(
-            element_from_json({"group": doc["group"], "values": values}, group)
-            for values in factors
-        )
-        for factors in doc["tuples"]
-    )
-    return SnCertificate(target, tuples, degree, bound)
+        return PnCertificate(target, tuple(map(element, doc["parts"])), degree, bound)
+    if doc["type"] == "sn":
+        tuples = tuple(tuple(map(element, factors)) for factors in doc["tuples"])
+        return SnCertificate(target, tuples, degree, bound)
+    raise ValueError(f"certificate type must be \"pn\" or \"sn\", got {doc['type']!r:.80}")
 
 
 def normbound_to_json(bound: NormBound) -> dict:

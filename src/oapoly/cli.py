@@ -81,8 +81,13 @@ def _int_list(low: int, high: int):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the file; NaN and Infinity literals are input errors."""
+
+    def refuse(constant):
+        raise ValueError(f"file {path} holds the non-finite JSON literal {constant}")
+
     with open(path, "r", encoding="utf-8") as handle:
-        return require_object(json.load(handle), f"file {path}")
+        return require_object(json.load(handle, parse_constant=refuse), f"file {path}")
 
 
 def _load_group(args):
@@ -312,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     four_sub = four.add_subparsers(dest="subcommand", required=True)
     transform = four_sub.add_parser("transform")
     _add_group(transform)
-    transform.add_argument("--input", required=True, help="AlgElement JSON file")
+    transform.add_argument("--input", required=True, help="algebra element JSON file")
     _add_common(transform, _cmd_fourier_transform, seed=False)
 
     oadd = top.add_parser("oadd", help="orthogonal additivity checks")
@@ -347,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     norms_sub = norms.add_subparsers(dest="subcommand", required=True)
     certify = norms_sub.add_parser("certify")
     _add_group(certify)
-    certify.add_argument("--input", required=True, help="AlgElement JSON file")
+    certify.add_argument("--input", required=True, help="algebra element JSON file")
     degree = _in_range(int, 1, certificates.MAX_NORM_DEGREE)
     certify.add_argument("--n", type=degree, required=True, help=f"degree, 1..{certificates.MAX_NORM_DEGREE}")
     certify.add_argument("--refine", type=_in_range(int, 0, 1000), default=0, help="refinement iterations, 0..1000")

@@ -7,8 +7,9 @@ block structure as a sum of full matrix algebras: the block sizes
 coefficient vectors. Full matrix algebras (one block) and pointwise
 coefficient algebras (1 x 1 blocks, the truncated trigonometric
 polynomials of the circle) are shapes of the internal BlockAlgebra, whose
-product is ``groups.block_product``. A group convolution algebra
-multiplies through ``fourier.convolve_values`` (block products for a
+product is ``groups.block_product``. ``GroupAlgebra`` is the one model
+of a group convolution algebra, unit delta and random draws included.
+It multiplies through ``fourier.convolve_values`` (block products for a
 builtin group of order >= 64, else the table gather) and reaches its
 blocks, the minimal ideals, through its registry's synthesis operator.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GroupMismatch, IncompleteRegistry
-from .fourier import convolve_values, delta_identity
+from .fourier import convolve_values
 from .groups import GroupTable, IrrepRegistry, block_product
 
 
@@ -107,7 +108,10 @@ class GroupAlgebra(AlgebraDomain):
         return convolve_values(x, y, self.group)
 
     def one(self):
-        return delta_identity(self.group).values
+        """delta: value N at the identity, 0 elsewhere."""
+        delta = np.zeros(self.dim, dtype=np.complex128)
+        delta[self.group.identity] = self.dim
+        return delta
 
     def norm(self, x):
         return float(np.abs(np.asarray(x)).sum() / self.group.order)

@@ -17,6 +17,12 @@ The block of the central idempotent e_pi = dim_pi * chi_pi is the
 identity on its own irrep and zero on all others, which is what makes
 e_pi the unit of the minimal two-sided ideal it generates.
 
+The algebra is ``domains.GroupAlgebra`` on value vectors. ``AlgElement``
+has no arithmetic: it carries a group and its values through transforms,
+norms, certificates and files. ``convolve``, ``power`` and
+``random_element`` wrap the algebra for elements; nothing here calls
+them, but the benchmark traces or calls them.
+
 Both directions are built once and reused. A registry caches two
 operators: the analysis operator, taking values to the concatenated
 flattened blocks (1/N included), and for a complete registry the N x N
@@ -38,7 +44,6 @@ first use, never when a group is set up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Number
 
 import numpy as np
 
@@ -54,7 +59,8 @@ _BLOCK_ORDER = 64
 
 @dataclass(frozen=True, eq=False)
 class AlgElement:
-    """An element of the convolution algebra: a function on the group."""
+    """A function on the group, as a read-only value vector; the
+    arithmetic is ``GroupAlgebra``'s, on ``values``."""
 
     group: GroupTable
     values: np.ndarray
@@ -67,28 +73,6 @@ class AlgElement:
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def _require_same_group(self, other: "AlgElement") -> None:
-        if self.group is not other.group:
-            raise GroupMismatch("operands live on different groups")
-
-    def __add__(self, other: "AlgElement") -> "AlgElement":
-        self._require_same_group(other)
-        return AlgElement(self.group, self.values + other.values)
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        self._require_same_group(other)
-        return AlgElement(self.group, self.values - other.values)
-
-    def __neg__(self) -> "AlgElement":
-        return AlgElement(self.group, -self.values)
-
-    def __mul__(self, scalar) -> "AlgElement":
-        if not isinstance(scalar, Number):
-            return NotImplemented
-        return AlgElement(self.group, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,22 +95,6 @@ class FourierSide:
         if len(blocks) != len(self.registry.irreps):
             raise GroupMismatch("one block per registry irrep required")
         object.__setattr__(self, "blocks", tuple(blocks))
-
-
-def delta_identity(group: GroupTable) -> AlgElement:
-    """The convolution identity: value N at the identity element."""
-    vals = np.zeros(group.order, dtype=np.complex128)
-    vals[group.identity] = group.order
-    return AlgElement(group, vals)
-
-
-def zero_element(group: GroupTable) -> AlgElement:
-    return AlgElement(group, np.zeros(group.order, dtype=np.complex128))
-
-
-def random_element(group: GroupTable, rng: np.random.Generator) -> AlgElement:
-    vals = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
-    return AlgElement(group, vals)
 
 
 def _rows_times(x: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -178,6 +146,13 @@ def power(f: AlgElement, n: int) -> AlgElement:
     from .domains import GroupAlgebra  # domains builds on this module
 
     return AlgElement(f.group, GroupAlgebra(f.group).product_power(f.values, n))
+
+
+def random_element(group: GroupTable, rng: np.random.Generator) -> AlgElement:
+    """``GroupAlgebra(group).random(rng)`` as an element, for the benchmark's tests."""
+    from .domains import GroupAlgebra
+
+    return AlgElement(group, GroupAlgebra(group).random(rng))
 
 
 def fourier_flat(f: AlgElement, registry: IrrepRegistry) -> np.ndarray:

@@ -10,6 +10,7 @@ naming any value of the wrong type or shape.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -40,10 +41,12 @@ def complex_to_pair(z) -> list[float]:
 def pair_to_complex(pair) -> complex:
     if isinstance(pair, list) and len(pair) == 2:
         try:
-            return complex(float(pair[0]), float(pair[1]))
+            z = complex(float(pair[0]), float(pair[1]))
+            if cmath.isfinite(z):  # not 1e999, nor the strings "nan" and "inf"
+                return z
         except (TypeError, ValueError):
             pass
-    raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r:.80}")
+    raise ValueError(f"expected a [re, im] pair of finite numbers, got {pair!r:.80}")
 
 
 def _require_list(value, what: str) -> list:

@@ -166,12 +166,10 @@ def span_check(group: GroupTable, n: int, seed: int = 0) -> dict:
     group order; rank counts singular values above SPAN_THRESHOLD times
     the largest.
     """
-    rng = np.random.default_rng(seed)
+    domain = GroupAlgebra(group)
     samples = 2 * group.order
-    probes = rng.standard_normal((samples, group.order)) + 1j * rng.standard_normal(
-        (samples, group.order)
-    )
-    powers = GroupAlgebra(group).product_power(probes, n)
+    probes = domain.random(np.random.default_rng(seed), (samples,))
+    powers = domain.product_power(probes, n)
     sv = np.linalg.svd(powers, compute_uv=False)
     rank = int((sv > SPAN_THRESHOLD * sv[0]).sum()) if sv.size else 0
     return {

@@ -11,17 +11,7 @@ import numpy as np
 
 from . import certificates, circle, represent
 from .domains import GroupAlgebra, MatrixAlgebra
-from .fourier import (
-    AlgElement,
-    central_idempotent,
-    convolve,
-    decompose,
-    delta_identity,
-    fourier,
-    inverse_fourier,
-    l1_norm,
-    random_element,
-)
+from .fourier import AlgElement, central_idempotent, decompose, fourier, inverse_fourier
 from .groups import builtin_group_by_name, validate_group, validate_irreps
 from .polynomials import HomPoly, check_orthogonal_additivity, orthogonal_pairs
 
@@ -49,26 +39,24 @@ def _fourier_suite(seed_seq) -> dict:
     for name, child in zip(SELFTEST_GROUPS, seed_seq.spawn(len(SELFTEST_GROUPS))):
         rng = np.random.default_rng(child)
         group, registry = builtin_group_by_name(name)
+        domain = GroupAlgebra(group, registry)
         roundtrip = 0.0
         morphism = 0.0
         recon = 0.0
         for _ in range(8):
-            f = random_element(group, rng)
-            g = random_element(group, rng)
-            back = inverse_fourier(fourier(f, registry))
-            roundtrip = max(roundtrip, float(np.abs(back.values - f.values).max()))
-            lhs = fourier(convolve(f, g), registry)
-            rhs_f = fourier(f, registry)
-            rhs_g = fourier(g, registry)
-            for bl, bg, bf in zip(lhs.blocks, rhs_g.blocks, rhs_f.blocks):
+            f = AlgElement(group, domain.random(rng))
+            g = AlgElement(group, domain.random(rng))
+            fhat, ghat = fourier(f, registry), fourier(g, registry)
+            roundtrip = max(roundtrip, float(np.abs(inverse_fourier(fhat).values - f.values).max()))
+            lhs = fourier(AlgElement(group, domain.mul(f.values, g.values)), registry)
+            for bl, bg, bf in zip(lhs.blocks, ghat.blocks, fhat.blocks):
                 morphism = max(morphism, float(np.abs(bl - bg @ bf).max()))
-            pieces = decompose(f, registry)
-            total = sum(c.values for _, c in pieces)
+            total = sum(c.values for _, c in decompose(f, registry))
             recon = max(recon, float(np.abs(total - f.values).max()))
         idem = 0.0
         for rep in registry.irreps:
-            e = central_idempotent(group, rep)
-            idem = max(idem, l1_norm(convolve(e, e) - e))
+            e = central_idempotent(group, rep).values
+            idem = max(idem, domain.norm(domain.mul(e, e) - e))
         entry = {
             "roundtrip": roundtrip,
             "reversed_morphism": morphism,
@@ -87,7 +75,7 @@ def _polynomial_suite(seed_seq) -> dict:
     rng = np.random.default_rng(child)
     group, registry = builtin_group_by_name("s3")
     domain = GroupAlgebra(group, registry)
-    linear = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    linear = domain.random(rng)
     additive = HomPoly.prototypical(linear, 2, domain)
     pairs = orthogonal_pairs(domain, 100, int(rng.integers(2**31)))
     good = check_orthogonal_additivity(additive, pairs)
@@ -118,7 +106,7 @@ def _represent_suite(seed_seq) -> dict:
         rng = np.random.default_rng(child)
         group, registry = builtin_group_by_name(name)
         domain = GroupAlgebra(group, registry)
-        linear = rng.standard_normal((1, group.order)) + 1j * rng.standard_normal((1, group.order))
+        linear = domain.random(rng, (1,))
         P = HomPoly.prototypical(linear, 2, domain)
         seed = int(rng.integers(2**31))
         recovered = represent.phi_group(P, seed=seed, verify_samples=40)
@@ -133,7 +121,7 @@ def _represent_suite(seed_seq) -> dict:
     rng = np.random.default_rng(child)
     group, registry = builtin_group_by_name("d4")
     domain = GroupAlgebra(group, registry)
-    linear = rng.standard_normal((1, group.order)) + 1j * rng.standard_normal((1, group.order))
+    linear = domain.random(rng, (1,))
     P = HomPoly.prototypical(linear, 3, domain)
     direct = represent.phi_group(P, seed=11, verify_samples=40)
     blockwise = represent.phi_group_blockwise(P, seed=11, verify_samples=20)
@@ -150,21 +138,21 @@ def _certificate_suite(seed_seq) -> dict:
     for name, child in zip(SELFTEST_GROUPS, seed_seq.spawn(len(SELFTEST_GROUPS))):
         rng = np.random.default_rng(child)
         group, registry = builtin_group_by_name(name)
+        domain = GroupAlgebra(group, registry)
         sn_gap = 0.0
         chain_ok = True
         certs_ok = True
         for n in (2, 3):
             for _ in range(4):
-                a = random_element(group, rng)
+                a = AlgElement(group, domain.random(rng))
                 sn = certificates.sn_bound(a, n)
-                sn_gap = max(sn_gap, abs(sn.upper - l1_norm(a)), abs(sn.lower - sn.upper))
+                sn_gap = max(sn_gap, abs(sn.upper - domain.norm(a.values)), abs(sn.lower - sn.upper))
                 chain = certificates.chain_check(a, n, registry)
                 chain_ok = chain_ok and chain["pass"]
                 pn = certificates.pn_bound(a, n, registry)
                 certs_ok = certs_ok and pn.verification.passed
                 certs_ok = certs_ok and certificates.verify_certificate(sn.certificate).passed
-        idem = delta_identity(group)
-        pn_delta = certificates.pn_bound(idem, 3, registry)
+        pn_delta = certificates.pn_bound(AlgElement(group, domain.one()), 3, registry)
         entry = {
             "sn_equality_gap": sn_gap,
             "chain_ok": chain_ok,

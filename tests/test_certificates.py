@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from oapoly import (
+    GroupAlgebra,
     PnCertificate,
     builtin_group_by_name,
     central_idempotent,
     chain_check,
-    delta_identity,
     l1_norm,
     pn_bound,
-    random_element,
     sn_bound,
     verify_certificate,
-    zero_element,
 )
 import oapoly.certificates as certificates
 from oapoly.certificates import (
@@ -24,8 +22,17 @@ from oapoly.certificates import (
     certificate_to_json,
     pn_from_sn,
 )
+from oapoly.errors import GroupMismatch
 from oapoly.fourier import AlgElement, FourierSide, fourier, inverse_fourier
 from oapoly.groups import Irrep, IrrepRegistry
+
+
+def random_elem(group, rng):
+    return AlgElement(group, GroupAlgebra(group).random(rng))
+
+
+def delta_elem(group):
+    return AlgElement(group, GroupAlgebra(group).one())
 
 
 def block_element(registry, index, matrix):
@@ -37,7 +44,7 @@ def block_element(registry, index, matrix):
 
 def test_sn_bound_delta():
     group, _ = builtin_group_by_name("z4")
-    bound = sn_bound(delta_identity(group), 2)
+    bound = sn_bound(delta_elem(group), 2)
     assert bound.lower == bound.upper == 1.0
     assert verify_certificate(bound.certificate).passed
 
@@ -56,7 +63,7 @@ def test_sn_bound_idempotent_s3():
 
 def test_sn_bound_zero():
     group, _ = builtin_group_by_name("q8")
-    bound = sn_bound(zero_element(group), 2)
+    bound = sn_bound(AlgElement(group, np.zeros(group.order)), 2)
     assert bound.lower == bound.upper == 0.0
     assert verify_certificate(bound.certificate).passed
 
@@ -65,7 +72,7 @@ def test_pn_bound_degree_two_factor():
     group, registry = builtin_group_by_name("z4")
     rng = np.random.default_rng(0)
     for _ in range(20):
-        a = random_element(group, rng)
+        a = random_elem(group, rng)
         bound = pn_bound(a, 2, registry)
         assert bound.lower == l1_norm(a)
         assert bound.upper <= 2.0 * l1_norm(a) + 1e-9
@@ -75,7 +82,7 @@ def test_pn_bound_degree_two_factor():
 
 def test_pn_bound_delta_trivial_certificate_wins():
     group, registry = builtin_group_by_name("s3")
-    bound = pn_bound(delta_identity(group), 3, registry)
+    bound = pn_bound(delta_elem(group), 3, registry)
     assert abs(bound.upper - 1.0) <= 1e-12
     assert abs(bound.lower - 1.0) <= 1e-15
     assert len(bound.certificate.parts) == 1
@@ -85,7 +92,7 @@ def test_pn_bound_degree_three_z4():
     group, registry = builtin_group_by_name("z4")
     rng = np.random.default_rng(1)
     for _ in range(10):
-        a = random_element(group, rng)
+        a = random_elem(group, rng)
         bound = pn_bound(a, 3, registry)
         assert bound.lower <= bound.upper + 1e-12
         assert bound.upper <= 4.5 * l1_norm(a) + 1e-9
@@ -94,7 +101,7 @@ def test_pn_bound_degree_three_z4():
 @pytest.mark.parametrize("name", ["q8", "s4", "d8"])
 def test_pn_bound_verifies_cheapest_first_and_stops(name, monkeypatch):
     group, registry = builtin_group_by_name(name)
-    a = random_element(group, np.random.default_rng(12))
+    a = random_elem(group, np.random.default_rng(12))
     n = 3
     # every route pn_bound tries for a random element, in its order
     candidates = [pn_from_sn(sn_bound(a, n).certificate)]
@@ -126,7 +133,7 @@ def test_pn_bound_verifies_cheapest_first_and_stops(name, monkeypatch):
 @pytest.mark.parametrize("name", ["q8", "s4", "d8"])
 def test_pn_bound_refinement_verifies_each_candidate_at_most_once(name, monkeypatch):
     group, registry = builtin_group_by_name(name)
-    a = random_element(group, np.random.default_rng(13))
+    a = random_elem(group, np.random.default_rng(13))
     n, steps, seed = 3, 3, 5
     # brute force: every candidate pn_bound builds, all verified, cheapest kept
     candidates = [pn_from_sn(sn_bound(a, n).certificate)]
@@ -162,13 +169,13 @@ def test_pn_bound_refinement_verifies_each_candidate_at_most_once(name, monkeypa
 
 def test_pn_bound_zero_element():
     group, registry = builtin_group_by_name("z4")
-    bound = pn_bound(zero_element(group), 2, registry)
+    bound = pn_bound(AlgElement(group, np.zeros(group.order)), 2, registry)
     assert bound.lower == bound.upper == 0.0
 
 
 def test_pn_bound_carries_the_report_of_its_certificate():
     group, registry = builtin_group_by_name("s4")
-    for a in (zero_element(group), random_element(group, np.random.default_rng(9))):
+    for a in (AlgElement(group, np.zeros(group.order)), random_elem(group, np.random.default_rng(9))):
         bound = pn_bound(a, 3, registry, refine_steps=2)
         assert bound.verification.passed
         assert bound.verification == verify_certificate(bound.certificate)
@@ -176,7 +183,7 @@ def test_pn_bound_carries_the_report_of_its_certificate():
 
 def test_verify_certificate_detects_missing_part():
     group, registry = builtin_group_by_name("q8")
-    a = random_element(group, np.random.default_rng(2))
+    a = random_elem(group, np.random.default_rng(2))
     cert = pn_bound(a, 2, registry).certificate
     assert len(cert.parts) > 1
     broken = PnCertificate(cert.target, cert.parts[1:], cert.degree, cert.claimed_bound)
@@ -200,7 +207,7 @@ def test_hand_built_block_certificate_in_s3():
 def test_chain_check_delta():
     group, registry = builtin_group_by_name("d4")
     for n in (2, 3):
-        report = chain_check(delta_identity(group), n, registry)
+        report = chain_check(delta_elem(group), n, registry)
         assert report["pass"]
         assert abs(report["lower"] - 1.0) <= 1e-15
         assert abs(report["sn_upper"] - 1.0) <= 1e-15
@@ -211,16 +218,14 @@ def test_chain_check_random_q8():
     group, registry = builtin_group_by_name("q8")
     rng = np.random.default_rng(3)
     for _ in range(100):
-        a = random_element(group, rng)
+        a = random_elem(group, rng)
         report = chain_check(a, 2, registry)
         assert report["pass"], report
 
 
 def test_chain_check_sum_of_idempotents():
     group, registry = builtin_group_by_name("z4")
-    a = central_idempotent(group, registry.irreps[0]) + central_idempotent(
-        group, registry.irreps[1]
-    )
+    a = AlgElement(group, sum(central_idempotent(group, rep).values for rep in registry.irreps[:2]))
     report = chain_check(a, 3, registry)
     assert report["pass"]
     # idempotent routes certify an upper well below the polarization slack
@@ -231,7 +236,7 @@ def test_pn_from_sn_respects_polarization_slack():
     group, _ = builtin_group_by_name("s3")
     rng = np.random.default_rng(4)
     for n in (2, 3, 4, 13):
-        a = random_element(group, rng)
+        a = random_elem(group, rng)
         sn = sn_bound(a, n)
         pn_cert = pn_from_sn(sn.certificate)
         assert verify_certificate(pn_cert).passed
@@ -241,11 +246,11 @@ def test_pn_from_sn_respects_polarization_slack():
 
 def test_certificate_scaling_homogeneity():
     group, _ = builtin_group_by_name("z6")
-    a = random_element(group, np.random.default_rng(5))
+    a = random_elem(group, np.random.default_rng(5))
     lam = -2.0 + 1.5j
     # without special routes, the pn upper itself scales exactly
     plain = pn_bound(a, 2)
-    scaled = pn_bound(lam * a, 2)
+    scaled = pn_bound(AlgElement(group, lam * a.values), 2)
     assert abs(scaled.upper - abs(lam) * plain.upper) <= 1e-9
 
 
@@ -253,7 +258,7 @@ def test_pn_refinement_never_worse():
     group, registry = builtin_group_by_name("z4")
     rng = np.random.default_rng(7)
     for _ in range(5):
-        a = random_element(group, rng)
+        a = random_elem(group, rng)
         plain = pn_bound(a, 2, registry)
         refined = pn_bound(a, 2, registry, refine_steps=50, seed=8)
         assert refined.upper <= plain.upper + 1e-12
@@ -262,7 +267,7 @@ def test_pn_refinement_never_worse():
 
 def test_certificate_json_round_trip():
     group, registry = builtin_group_by_name("z4")
-    a = random_element(group, np.random.default_rng(9))
+    a = random_elem(group, np.random.default_rng(9))
     for cert in (sn_bound(a, 2).certificate, pn_bound(a, 3, registry).certificate):
         doc = certificate_to_json(cert)
         loaded = certificate_from_json(doc, group)
@@ -272,12 +277,37 @@ def test_certificate_json_round_trip():
 
 def test_certificate_json_takes_only_the_l1_norm():
     group, registry = builtin_group_by_name("q8")
-    a = random_element(group, np.random.default_rng(3))
+    a = random_elem(group, np.random.default_rng(3))
     doc = certificate_to_json(pn_bound(a, 2, registry).certificate)
     assert doc["norm"] == "l1"
     for other in ("linf", "lp:2", "lp", None):
         with pytest.raises(ValueError, match="norm"):
             certificate_from_json(dict(doc, norm=other), group)
+
+
+def test_certificate_json_rejects_an_unknown_type_by_name():
+    group, registry = builtin_group_by_name("q8")
+    doc = certificate_to_json(pn_bound(random_elem(group, np.random.default_rng(3)), 2, registry).certificate)
+    for other in ("px", "", None, 3):
+        with pytest.raises(ValueError, match=f"certificate type must be .*{other!r}"):
+            certificate_from_json(dict(doc, type=other), group)
+
+
+def test_certificate_json_checks_the_group_once_and_reads_parts_as_pairs():
+    group, registry = builtin_group_by_name("q8")
+    a = random_elem(group, np.random.default_rng(4))
+    for cert in (sn_bound(a, 3).certificate, pn_bound(a, 3, registry).certificate):
+        doc = certificate_to_json(cert)
+        with pytest.raises(GroupMismatch):
+            certificate_from_json(dict(doc, group="d4"), group)
+        loaded = certificate_from_json(doc, group)
+        parts = loaded.parts if doc["type"] == "pn" else [f for factors in loaded.tuples for f in factors]
+        assert parts and all(part.group is group for part in parts)
+        want = cert.parts if doc["type"] == "pn" else [f for factors in cert.tuples for f in factors]
+        assert all(np.array_equal(got.values, w.values) for got, w in zip(parts, want))
+        bad = dict(doc, **({"parts": [[[1.0, "x"]]]} if doc["type"] == "pn" else {"tuples": [[[[1.0]]]]}))
+        with pytest.raises(ValueError, match=r"\[re, im\] pair"):
+            certificate_from_json(bad, group)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +375,7 @@ def every_candidate(a, n, registry, monkeypatch, **kwargs):
 @pytest.mark.parametrize("name", KERNEL_GROUPS)
 def test_stacked_block_roots_match_the_per_block_loop(name, n, monkeypatch):
     group, registry = kernel_registry(name)
-    a = random_element(group, np.random.default_rng(31))
+    a = random_elem(group, np.random.default_rng(31))
     roots, *want = reference_roots(a, n, registry)
     got = _block_root_parts(a, n, registry)
     for block, root in zip(fourier(got[0][0], registry).blocks, roots):
@@ -366,7 +396,7 @@ def test_stacked_block_roots_match_the_per_block_loop(name, n, monkeypatch):
 @pytest.mark.parametrize("name", ["q8", "s4", "d16", "z32"])
 def test_pn_bound_runs_one_eig_and_one_inv_per_block_size(name, monkeypatch):
     group, registry = builtin_group_by_name(name)
-    a = random_element(group, np.random.default_rng(32))
+    a = random_elem(group, np.random.default_rng(32))
     calls = {"eig": [], "inv": []}
     for fn in calls:
         original = getattr(np.linalg, fn)
@@ -384,7 +414,7 @@ def test_pn_bound_runs_one_eig_and_one_inv_per_block_size(name, monkeypatch):
 @pytest.mark.parametrize("name", KERNEL_GROUPS)
 def test_central_units_are_the_inverse_fourier_of_scaled_identity_blocks(name, monkeypatch):
     group, registry = kernel_registry(name)
-    a = random_element(group, np.random.default_rng(33))
+    a = random_elem(group, np.random.default_rng(33))
     steps, seed = 4, 6
     rng = np.random.default_rng(seed)
     want = []
@@ -394,13 +424,16 @@ def test_central_units_are_the_inverse_fourier_of_scaled_identity_blocks(name, m
         want.append(inverse_fourier(FourierSide(registry, tuple(s * e for s, e in zip(scalars, eye)))).values)
         want.append(inverse_fourier(FourierSide(registry, tuple(e / s for s, e in zip(scalars, eye)))).values)
     made = []
-    # with the expansion stubbed out, the only elements the refinement builds are c and c^-1
+    # with the expansion stubbed out, the refinement builds delta once, then c and a * c^-1 per step
     monkeypatch.setattr(certificates, "AlgElement", lambda g, values: made.append(values) or AlgElement(g, values))
     monkeypatch.setattr(certificates, "pn_from_sn", lambda cert: PnCertificate(a, (), 3, cert.claimed_bound))
     certificates._refine_by_central_units(a, 3, registry, steps, seed)
-    assert len(made) == len(want)
-    for got, expected in zip(made, want):
+    assert len(made) == 1 + len(want)
+    assert np.array_equal(made[0], GroupAlgebra(group).one())
+    for got, expected in zip(made[1::2], want[0::2]):
         assert np.array_equal(got, expected)
+    for got, expected in zip(made[2::2], want[1::2]):
+        assert np.array_equal(got, GroupAlgebra(group).mul(a.values, expected))
 
 
 @pytest.mark.parametrize("jordan", [[[2, 1], [0, 2]], [[0, 1], [0, 0]]], ids=["2+N", "N"])
@@ -419,7 +452,7 @@ def test_a_non_diagonalizable_block_still_gets_a_verified_bound(name, jordan):
 @pytest.mark.parametrize("fault", ["linalg-error", "non-finite"])
 def test_a_failed_block_size_drops_both_root_candidates(fault, monkeypatch):
     group, registry = builtin_group_by_name("s4")
-    a = random_element(group, np.random.default_rng(34))
+    a = random_elem(group, np.random.default_rng(34))
     inv = np.linalg.inv
 
     def failing(m):

@@ -18,12 +18,12 @@ import oapoly.certificates as certificates
 import oapoly.cli as cli
 import oapoly.represent as represent
 from oapoly import (
+    AlgElement,
     GroupAlgebra,
     HomPoly,
     MatrixAlgebra,
     PointwiseAlgebra,
     builtin_group_by_name,
-    random_element,
     validate_irreps,
     verify_representation,
 )
@@ -55,7 +55,7 @@ def s3_files(tmp_path_factory):
     bad_path.write_text(canonical_dumps(poly_to_json(bad_tensor)))
 
     element_path = base / "element.json"
-    element_path.write_text(canonical_dumps(element_to_json(random_element(group, rng))))
+    element_path.write_text(canonical_dumps(element_to_json(AlgElement(group, domain.random(rng)))))
 
     corrupt_path = base / "corrupt.json"
     corrupt_path.write_text('{"oops": ')
@@ -317,6 +317,52 @@ def test_oadd_check_matrix_domain(tmp_path, capsys):
 def test_corrupted_input_is_usage_error(s3_files, capsys):
     assert main(["oadd", "check", "--poly", s3_files["corrupt"]]) == 2
     assert main(["fourier", "transform", "--group", "z4", "--input", s3_files["element"]]) == 2
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literals_are_input_errors(s3_files, tmp_path, constant, capsys):
+    value = float(constant.replace("Infinity", "inf"))
+    poly = json.loads(Path(s3_files["good"]).read_text())
+    poly["tensor"][next(iter(poly["tensor"]))] = [value, 0.0]
+    element = json.loads(Path(s3_files["element"]).read_text())
+    element["values"][0] = [1.0, value]
+    poly_path, element_path = tmp_path / "poly.json", tmp_path / "element.json"
+    poly_path.write_text(json.dumps(poly))  # json.dumps writes the bare literal
+    element_path.write_text(json.dumps(element))
+    assert constant in poly_path.read_text() and constant in element_path.read_text()
+    commands = [
+        (["represent", "extract", "--poly", str(poly_path)], poly_path),
+        (["oadd", "check", "--poly", str(poly_path)], poly_path),
+        (["norms", "certify", "--group", "s3", "--input", str(element_path), "--n", "2"], element_path),
+        (["norms", "chain", "--group", "s3", "--input", str(element_path), "--n", "2"], element_path),
+        (["fourier", "transform", "--group", "s3", "--input", str(element_path)], element_path),
+    ]
+    for argv, path in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == f"input error: file {path} holds the non-finite JSON literal {constant}\n"
+
+
+@pytest.mark.parametrize("number", ["1e999", "-1e999", '"nan"', '"inf"'])
+def test_numbers_that_parse_non_finite_are_input_errors(s3_files, tmp_path, number, capsys):
+    poly = Path(s3_files["good"]).read_text()
+    first = next(iter(json.loads(poly)["tensor"].values()))
+    poly_path, element_path = tmp_path / "poly.json", tmp_path / "element.json"
+    poly_path.write_text(poly.replace(json.dumps(first, separators=(",", ":")), f"[{number},0.0]", 1))
+    element = json.loads(Path(s3_files["element"]).read_text())
+    element_path.write_text(json.dumps(element).replace(json.dumps(element["values"][0]), f"[1.0, {number}]", 1))
+    assert number in poly_path.read_text() and number in element_path.read_text()
+    for argv in (
+        ["oadd", "check", "--poly", str(poly_path)],
+        ["represent", "extract", "--poly", str(poly_path)],
+        ["norms", "certify", "--group", "s3", "--input", str(element_path), "--n", "2"],
+        ["fourier", "transform", "--group", "s3", "--input", str(element_path)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("input error: expected a [re, im] pair of finite numbers"), captured.err
 
 
 @pytest.mark.parametrize(

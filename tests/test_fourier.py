@@ -15,16 +15,13 @@ from oapoly import (
     banach_norm,
     builtin_group_by_name,
     central_idempotent,
-    convolve,
     decompose,
-    delta_identity,
     inverse_fourier,
     l1_norm,
     pn_bound,
-    power,
-    random_element,
     span_check,
 )
+from oapoly import fourier as fourier_module
 from oapoly.fourier import _BLOCK_ORDER, _CHUNK_BYTES, convolve_values, fourier
 from oapoly.groups import GroupTable, Irrep, IrrepRegistry
 
@@ -40,50 +37,82 @@ def elem(group, values):
     return AlgElement(group, np.asarray(values, dtype=complex))
 
 
+def random_elem(group, rng):
+    return AlgElement(group, GroupAlgebra(group).random(rng))
+
+
+def delta_elem(group):
+    return AlgElement(group, GroupAlgebra(group).one())
+
+
 def test_delta_is_identity():
     group, _ = builtin_group_by_name("s3")
-    rng = np.random.default_rng(0)
-    f = random_element(group, rng)
-    delta = delta_identity(group)
-    np.testing.assert_allclose(convolve(delta, f).values, f.values, atol=1e-13)
-    np.testing.assert_allclose(convolve(f, delta).values, f.values, atol=1e-13)
-    assert abs(l1_norm(delta) - 1.0) < 1e-15
+    algebra = GroupAlgebra(group)
+    f = algebra.random(np.random.default_rng(0))
+    delta = algebra.one()
+    np.testing.assert_allclose(algebra.mul(delta, f), f, atol=1e-13)
+    np.testing.assert_allclose(algebra.mul(f, delta), f, atol=1e-13)
+    assert abs(algebra.norm(delta) - 1.0) < 1e-15
+    assert delta[group.identity] == group.order and np.count_nonzero(delta) == 1
 
 
 def test_z2_convolution_by_hand():
     # (1/2) sum_s f(s) g(s^-1 t) worked out directly
     group, _ = builtin_group_by_name("z2")
-    f = elem(group, [1, 2])
-    g = elem(group, [3, 4])
-    np.testing.assert_allclose(convolve(f, g).values, [5.5, 5.0], atol=1e-15)
+    np.testing.assert_allclose(GroupAlgebra(group).mul(np.array([1, 2]), np.array([3, 4])), [5.5, 5.0], atol=1e-15)
 
 
 def test_z4_character_orthogonality_under_convolution():
     group, registry = builtin_group_by_name("z4")
-    chars = [elem(group, rep.matrices[:, 0, 0]) for rep in registry.irreps]
+    chars = [rep.matrices[:, 0, 0] for rep in registry.irreps]
     for j, cj in enumerate(chars):
         for k, ck in enumerate(chars):
-            expected = ck.values if j == k else np.zeros(4)
-            np.testing.assert_allclose(convolve(cj, ck).values, expected, atol=1e-14)
+            expected = ck if j == k else np.zeros(4)
+            np.testing.assert_allclose(GroupAlgebra(group).mul(cj, ck), expected, atol=1e-14)
 
 
 def test_powers():
     group, registry = builtin_group_by_name("s3")
-    delta = delta_identity(group)
+    algebra = GroupAlgebra(group)
+    delta = algebra.one()
     for n in (1, 2, 5):
-        np.testing.assert_allclose(power(delta, n).values, delta.values, atol=1e-12)
+        np.testing.assert_allclose(algebra.product_power(delta, n), delta, atol=1e-12)
     two_dim = registry.by_label("std2")
-    e = central_idempotent(group, two_dim)
-    np.testing.assert_allclose(power(e, 3).values, e.values, atol=1e-12)
+    e = central_idempotent(group, two_dim).values
+    np.testing.assert_allclose(algebra.product_power(e, 3), e, atol=1e-12)
 
     z2, _ = builtin_group_by_name("z2")
-    ones = elem(z2, [1, 1])
-    np.testing.assert_allclose(power(ones, 2).values, ones.values, atol=1e-15)
+    ones = np.ones(2, dtype=complex)
+    np.testing.assert_allclose(GroupAlgebra(z2).product_power(ones, 2), ones, atol=1e-15)
+
+
+def test_element_wrappers_are_the_domain_product_and_power():
+    # fourier.convolve and fourier.power stay as named entry points for elements
+    group, _ = builtin_group_by_name("d4")
+    algebra = GroupAlgebra(group)
+    rng = np.random.default_rng(12)
+    f, g = random_elem(group, rng), random_elem(group, rng)
+    product = fourier_module.convolve(f, g)
+    assert product.group is group and np.array_equal(product.values, algebra.mul(f.values, g.values))
+    cube = fourier_module.power(f, 3)
+    assert cube.group is group and np.array_equal(cube.values, algebra.product_power(f.values, 3))
+
+
+def test_element_carries_values_only():
+    group, _ = builtin_group_by_name("z4")
+    f = elem(group, [1, 2, 3, 4])
+    assert not f.values.flags.writeable and f.values.dtype == np.complex128
+    # the arithmetic is the domain's, on values
+    assert not {"__add__", "__sub__", "__neg__", "__mul__", "__rmul__"} & set(vars(AlgElement))
+    with pytest.raises(TypeError):
+        f + f
+    with pytest.raises(GroupMismatch):
+        AlgElement(group, np.zeros(6))
 
 
 def test_fourier_of_delta_is_identity_blocks():
     group, registry = builtin_group_by_name("q8")
-    side = fourier(delta_identity(group), registry)
+    side = fourier(delta_elem(group), registry)
     for rep, block in zip(registry.irreps, side.blocks):
         np.testing.assert_allclose(block, np.eye(rep.dim), atol=1e-13)
 
@@ -97,14 +126,14 @@ def test_fourier_z2_scalars():
 
 
 def test_fourier_turns_convolution_into_reversed_products():
-    # fourier(f * g)(pi) = ghat(pi) fhat(pi); the oracle is convolve itself
+    # fourier(f * g)(pi) = ghat(pi) fhat(pi); the oracle is the domain product itself
     group, registry = builtin_group_by_name("s3")
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
-        f = random_element(group, rng)
-        g = random_element(group, rng)
-        lhs = fourier(convolve(f, g), registry)
+        f = random_elem(group, rng)
+        g = random_elem(group, rng)
+        lhs = fourier(AlgElement(group, GroupAlgebra(group).mul(f.values, g.values)), registry)
         fhat = fourier(f, registry)
         ghat = fourier(g, registry)
         for bl, bg, bf in zip(lhs.blocks, ghat.blocks, fhat.blocks):
@@ -117,7 +146,7 @@ def test_inverse_fourier_round_trip_q8():
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(100):
-        f = random_element(group, rng)
+        f = random_elem(group, rng)
         back = inverse_fourier(fourier(f, registry))
         worst = max(worst, np.abs(back.values - f.values).max())
     assert worst <= 1e-12
@@ -127,7 +156,7 @@ def test_inverse_fourier_of_identity_blocks_is_delta():
     group, registry = builtin_group_by_name("d4")
     side = FourierSide(registry, tuple(np.eye(rep.dim) for rep in registry.irreps))
     np.testing.assert_allclose(
-        inverse_fourier(side).values, delta_identity(group).values, atol=1e-12
+        inverse_fourier(side).values, GroupAlgebra(group).one(), atol=1e-12
     )
 
 
@@ -145,7 +174,7 @@ def test_single_block_identity_gives_central_idempotent():
 def test_incomplete_registry_rejected_by_inverse():
     group, registry = builtin_group_by_name("z4")
     partial = IrrepRegistry(group, registry.irreps[:2])
-    side = fourier(random_element(group, np.random.default_rng(0)), partial)
+    side = fourier(random_elem(group, np.random.default_rng(0)), partial)
     with pytest.raises(IncompleteRegistry):
         inverse_fourier(side)
 
@@ -161,7 +190,7 @@ def test_incomplete_registry_rejected_by_decompose():
     group, registry = builtin_group_by_name("z4")
     partial = IrrepRegistry(group, registry.irreps[:2])
     with pytest.raises(IncompleteRegistry):
-        decompose(random_element(group, np.random.default_rng(0)), partial)
+        decompose(random_elem(group, np.random.default_rng(0)), partial)
 
 
 def test_central_idempotents():
@@ -170,11 +199,12 @@ def test_central_idempotents():
     np.testing.assert_allclose(
         central_idempotent(group, trivial).values, np.ones(6), atol=1e-15
     )
-    e = central_idempotent(group, registry.by_label("std2"))
-    assert l1_norm(convolve(e, e) - e) <= 1e-12
+    algebra = GroupAlgebra(group)
+    e = central_idempotent(group, registry.by_label("std2")).values
+    assert algebra.norm(algebra.mul(e, e) - e) <= 1e-12
     # idempotents are central
-    f = random_element(group, np.random.default_rng(3))
-    np.testing.assert_allclose(convolve(e, f).values, convolve(f, e).values, atol=1e-12)
+    f = algebra.random(np.random.default_rng(3))
+    np.testing.assert_allclose(algebra.mul(e, f), algebra.mul(f, e), atol=1e-12)
 
 
 def test_idempotent_cross_annihilation_d4():
@@ -182,21 +212,21 @@ def test_idempotent_cross_annihilation_d4():
     idempotents = [central_idempotent(group, rep) for rep in registry.irreps]
     for i, ei in enumerate(idempotents):
         for j, ej in enumerate(idempotents):
-            product = convolve(ei, ej)
+            product = GroupAlgebra(group).mul(ei.values, ej.values)
             target = ei.values if i == j else np.zeros(group.order)
-            assert np.abs(product.values - target).max() <= 1e-12
+            assert np.abs(product - target).max() <= 1e-12
 
 
 def test_decompose_delta_into_idempotents():
     group, registry = builtin_group_by_name("s3")
-    parts = decompose(delta_identity(group), registry)
+    parts = decompose(delta_elem(group), registry)
     total = np.zeros(group.order, dtype=complex)
     for rep, component in parts:
         np.testing.assert_allclose(
             component.values, central_idempotent(group, rep).values, atol=1e-12
         )
         total += component.values
-    np.testing.assert_allclose(total, delta_identity(group).values, atol=1e-12)
+    np.testing.assert_allclose(total, GroupAlgebra(group).one(), atol=1e-12)
 
 
 def test_decompose_idempotent_is_single_component():
@@ -211,20 +241,20 @@ def test_decompose_random_reconstruction_and_annihilation():
     group, registry = builtin_group_by_name("s3")
     rng = np.random.default_rng(4)
     for _ in range(100):
-        f = random_element(group, rng)
+        f = random_elem(group, rng)
         parts = decompose(f, registry)
         total = sum(c.values for _, c in parts)
         assert np.abs(total - f.values).max() <= 1e-12
-    parts = decompose(random_element(group, rng), registry)
+    parts = decompose(random_elem(group, rng), registry)
     for i, (_, ci) in enumerate(parts):
         for j, (_, cj) in enumerate(parts):
             if i != j:
-                assert np.abs(convolve(ci, cj).values).max() <= 1e-12
+                assert np.abs(GroupAlgebra(group).mul(ci.values, cj.values)).max() <= 1e-12
 
 
 def test_banach_norms():
     group, registry = builtin_group_by_name("q8")
-    delta = delta_identity(group)
+    delta = delta_elem(group)
     assert abs(banach_norm(delta, "lp", p=1) - 1.0) <= 1e-15
     # delta has identity blocks: trace norms are the dims, weighted sum is order
     assert abs(banach_norm(delta, "ag", registry=registry) - group.order) <= 1e-12
@@ -257,7 +287,7 @@ def test_stacked_ag_and_sp_norms_match_the_per_block_svd_loop(name):
     group, registry = builtin_group_by_name(name.removesuffix("-haar"))
     if name.endswith("-haar"):
         registry = haar_conjugated(registry, 41)
-    f = random_element(group, np.random.default_rng(35))
+    f = random_elem(group, np.random.default_rng(35))
     # the per-block loop the stacked SVDs replace
     sv = [(rep.dim, np.linalg.svd(block, compute_uv=False)) for rep, block in zip(registry.irreps, fourier(f, registry).blocks)]
     assert banach_norm(f, "ag", registry=registry) == pytest.approx(sum(d * s.sum() for d, s in sv), rel=1e-13)
@@ -269,7 +299,7 @@ def test_stacked_ag_and_sp_norms_match_the_per_block_svd_loop(name):
 def test_block_norms_and_roots_refuse_the_registry_of_another_group():
     group, _ = builtin_group_by_name("d4")
     _, other = builtin_group_by_name("q8")
-    f = random_element(group, np.random.default_rng(36))
+    f = random_elem(group, np.random.default_rng(36))
     for which in ("ag", "sp"):
         with pytest.raises(GroupMismatch):
             banach_norm(f, which, p=2.0, registry=other)
@@ -279,7 +309,7 @@ def test_block_norms_and_roots_refuse_the_registry_of_another_group():
 
 def test_banach_norm_takes_the_certificate_selectors():
     group, registry = builtin_group_by_name("d4")
-    f = random_element(group, np.random.default_rng(10))
+    f = random_elem(group, np.random.default_rng(10))
     assert banach_norm(f, "l1") == l1_norm(f)
     assert banach_norm(f, "linf") == np.abs(f.values).max()
     for bad in ("lp:2.5", "l2"):
@@ -289,18 +319,19 @@ def test_banach_norm_takes_the_certificate_selectors():
 
 def test_convolution_banach_inequality():
     group, _ = builtin_group_by_name("d4")
+    algebra = GroupAlgebra(group)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        f = random_element(group, rng)
-        g = random_element(group, rng)
-        assert l1_norm(convolve(f, g)) <= l1_norm(f) * l1_norm(g) + 1e-12
+        f = algebra.random(rng)
+        g = algebra.random(rng)
+        assert algebra.norm(algebra.mul(f, g)) <= algebra.norm(f) * algebra.norm(g) + 1e-12
 
 
 def test_group_mismatch():
     g1, _ = builtin_group_by_name("z4")
     g2, _ = builtin_group_by_name("z6")
     with pytest.raises(GroupMismatch):
-        convolve(delta_identity(g1), delta_identity(g2))
+        fourier_module.convolve(delta_elem(g1), delta_elem(g2))
 
 
 @settings(max_examples=25, deadline=None)
@@ -311,14 +342,15 @@ def test_group_mismatch():
 )
 def test_convolution_associative_and_bilinear(fv, gv, hv):
     group, _ = builtin_group_by_name("s3")
-    f, g, h = elem(group, fv), elem(group, gv), elem(group, hv)
-    left = convolve(convolve(f, g), h)
-    right = convolve(f, convolve(g, h))
-    scale = 1.0 + np.abs(left.values).max()
-    assert np.abs(left.values - right.values).max() <= 1e-12 * scale
-    lin = convolve(f + g, h)
-    split = convolve(f, h) + convolve(g, h)
-    assert np.abs(lin.values - split.values).max() <= 1e-12 * scale
+    mul = GroupAlgebra(group).mul
+    f, g, h = (np.asarray(v, dtype=complex) for v in (fv, gv, hv))
+    left = mul(mul(f, g), h)
+    right = mul(f, mul(g, h))
+    scale = 1.0 + np.abs(left).max()
+    assert np.abs(left - right).max() <= 1e-12 * scale
+    lin = mul(f + g, h)
+    split = mul(f, h) + mul(g, h)
+    assert np.abs(lin - split).max() <= 1e-12 * scale
 
 
 def reference_convolution(fv, gv, group):
@@ -439,7 +471,7 @@ def conjugated_s4():
 def test_fourier_operators_match_per_irrep_formulas(name):
     group, registry = conjugated_s4() if name == "s4-haar" else builtin_group_by_name(name)
     rng = np.random.default_rng(7)
-    f = random_element(group, rng)
+    f = random_elem(group, rng)
     side = fourier(f, registry)
     for rep, block in zip(registry.irreps, side.blocks):
         # fhat(pi) = (1/N) sum_t f(t) U_pi(t^-1)
@@ -461,7 +493,7 @@ def test_fourier_operators_match_per_irrep_formulas(name):
 
 def test_cached_tables_and_operators_are_read_only():
     group, registry = builtin_group_by_name("d8")
-    fourier(random_element(group, np.random.default_rng(8)), registry)
+    fourier(random_elem(group, np.random.default_rng(8)), registry)
     for cached in (group.quotient, registry.analysis, registry.synthesis):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
@@ -474,7 +506,7 @@ def test_cached_tables_and_operators_are_read_only():
 def test_block_embedding_matches_the_einsum_formula(name):
     group, registry = conjugated_s4() if name == "s4-haar" else builtin_group_by_name(name)
     rng = np.random.default_rng(9)
-    f = random_element(group, rng)
+    f = random_elem(group, rng)
     components = decompose(f, registry)
     assert [rep for rep, _ in components] == list(registry.irreps)
     for index, (rep, (_, part)) in enumerate(zip(registry.irreps, components)):

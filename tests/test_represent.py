@@ -15,7 +15,6 @@ from oapoly import (
     builtin_group_by_name,
     phi_group,
     phi_group_blockwise,
-    power,
     span_check,
     verify_representation,
 )
@@ -79,9 +78,9 @@ def test_phi_group_weighted_spectrum_z3():
     )
     np.testing.assert_allclose(L.matrix[0], expected, atol=1e-10)
     # probe f = chi_0 + chi_1: P(f) = 3 and L(f * f) = 3
-    f = AlgElement(group, np.exp(2j * np.pi * 0 * t / 3) + np.exp(2j * np.pi * 1 * t / 3))
-    np.testing.assert_allclose(P(f.values)[0], 3.0, atol=1e-12)
-    np.testing.assert_allclose(L(power(f, 2).values)[0], 3.0, atol=1e-12)
+    f = np.exp(2j * np.pi * 0 * t / 3) + np.exp(2j * np.pi * 1 * t / 3)
+    np.testing.assert_allclose(P(f)[0], 3.0, atol=1e-12)
+    np.testing.assert_allclose(L(GroupAlgebra(group).product_power(f, 2))[0], 3.0, atol=1e-12)
 
 
 def test_phi_group_z2_difference_of_squares():
@@ -166,6 +165,20 @@ def test_span_check_examples():
     assert span_check(s3, 3, seed=1)["rank"] == 6
     z1, _ = builtin_group_by_name("z1")
     assert span_check(z1, 4, seed=2)["rank"] == 1
+
+
+@pytest.mark.parametrize("name", ["z5", "s3", "q8", "d8", "s4", "z32"])
+def test_span_check_probes_are_domain_draws(name, monkeypatch):
+    group, _ = builtin_group_by_name(name)
+    svd = np.linalg.svd
+    seen = []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs: seen.append(a) or svd(a, **kwargs))
+    for n, seed in ((2, 0), (3, 1), (3, 2)):
+        report = span_check(group, n, seed=seed)
+        algebra = GroupAlgebra(group)
+        probes = algebra.random(np.random.default_rng(seed), (2 * group.order,))
+        assert np.array_equal(seen[-1], algebra.product_power(probes, n))
+        assert report["samples"] == 2 * group.order and report["rank"] == group.order
 
 
 def test_span_check_memory_stays_bounded():
