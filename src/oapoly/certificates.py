@@ -27,7 +27,7 @@ import numpy as np
 from .domains import BlockAlgebra, GroupAlgebra
 from .fourier import AlgElement, element_from_json, fourier_flat, l1_norm
 from .groups import GroupTable, IrrepRegistry, block_runs
-from .jsonio import pairs_to_vector, vector_to_pairs
+from .jsonio import from_pairs, json_field, to_pairs
 from .polynomials import polarization, sym_product
 
 RECON_TOL = 1e-10
@@ -273,35 +273,33 @@ def certificate_to_json(cert) -> dict:
         "group": cert.target.group.name,
         "degree": cert.degree,
         "norm": "l1",
-        "target": vector_to_pairs(cert.target.values),
+        "target": to_pairs(cert.target.values),
         "claimed_bound": cert.claimed_bound,
     }
     if isinstance(cert, PnCertificate):
         doc["type"] = "pn"
-        doc["parts"] = [vector_to_pairs(part.values) for part in cert.parts]
+        doc["parts"] = to_pairs([part.values for part in cert.parts])
     else:
         doc["type"] = "sn"
-        doc["tuples"] = [
-            [vector_to_pairs(factor.values) for factor in factors]
-            for factors in cert.tuples
-        ]
+        doc["tuples"] = to_pairs([[factor.values for factor in factors] for factors in cert.tuples])
     return doc
 
 
 def certificate_from_json(doc: dict, group: GroupTable):
     target = element_from_json({"group": doc["group"], "values": doc["target"]}, group)
-    degree = int(doc["degree"])
-    if doc["norm"] != "l1":
+    degree = json_field(doc, "degree", int, "certificate")
+    if not 1 <= degree <= MAX_NORM_DEGREE:  # verification takes degree - 1 products
+        raise ValueError(f"certificate degree {degree} outside 1..{MAX_NORM_DEGREE}")
+    if json_field(doc, "norm", str, "certificate") != "l1":
         raise ValueError(f"certificate norm must be \"l1\", got {doc['norm']!r}")
-    bound = float(doc["claimed_bound"])
-
-    def element(values) -> AlgElement:
-        return AlgElement(group, pairs_to_vector(values))
+    bound = float(json_field(doc, "claimed_bound", float, "certificate"))
 
     if doc["type"] == "pn":
-        return PnCertificate(target, tuple(map(element, doc["parts"])), degree, bound)
+        parts = from_pairs(doc["parts"], "the certificate parts", 2)
+        return PnCertificate(target, tuple(AlgElement(group, part) for part in parts), degree, bound)
     if doc["type"] == "sn":
-        tuples = tuple(tuple(map(element, factors)) for factors in doc["tuples"])
+        tuples = from_pairs(doc["tuples"], "the certificate tuples", 3)
+        tuples = tuple(tuple(AlgElement(group, factor) for factor in factors) for factors in tuples)
         return SnCertificate(target, tuples, degree, bound)
     raise ValueError(f"certificate type must be \"pn\" or \"sn\", got {doc['type']!r:.80}")
 

@@ -28,7 +28,7 @@ import numpy as np
 from .domains import PointwiseAlgebra
 from .errors import BadExponent, UnderSampled
 from .groups import _readonly
-from .jsonio import complex_to_pair
+from .jsonio import to_pairs
 from .polynomials import HomPoly, _unit_slot
 
 DEFAULT_QUADRATURE_POINTS = 1 << 14
@@ -190,8 +190,8 @@ def fejer_limit_check(weights: dict, f: TrigPoly, n: int, m_list) -> dict:
         rows.append(
             {
                 "m": m,
-                "value": complex_to_pair(value),
-                "closed_form": complex_to_pair(closed),
+                "value": to_pairs(value),
+                "closed_form": to_pairs(closed),
                 "error": error,
                 "closed_form_error": abs(closed - limit),
                 "match": abs(value - closed) <= 1e-12 * (1.0 + abs(closed)),
@@ -200,7 +200,7 @@ def fejer_limit_check(weights: dict, f: TrigPoly, n: int, m_list) -> dict:
         errors.append(error)
     monotone = all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
     return {
-        "limit": complex_to_pair(limit),
+        "limit": to_pairs(limit),
         "rows": rows,
         "monotone_decay": monotone,
         "final_error": errors[-1] if errors else 0.0,

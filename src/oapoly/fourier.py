@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import BadExponent, GroupMismatch, IncompleteRegistry
 from .groups import GroupTable, Irrep, IrrepRegistry, block_product, block_runs
-from .jsonio import pairs_to_vector, matrix_to_pairs, require_object, vector_to_pairs
+from .jsonio import from_pairs, require_object, to_pairs
 
 # Largest temporaries of one chunk of a batched convolution, in bytes.
 _CHUNK_BYTES = 1 << 20
@@ -241,7 +241,7 @@ def banach_norm(
 
 
 def element_to_json(f: AlgElement) -> dict:
-    return {"group": f.group.name, "values": vector_to_pairs(f.values)}
+    return {"group": f.group.name, "values": to_pairs(f.values)}
 
 
 def element_from_json(doc: dict, group: GroupTable) -> AlgElement:
@@ -249,14 +249,14 @@ def element_from_json(doc: dict, group: GroupTable) -> AlgElement:
         raise GroupMismatch(
             f"element file names group {doc.get('group')!r}, expected {group.name!r}"
         )
-    return AlgElement(group, pairs_to_vector(doc["values"]))
+    return AlgElement(group, from_pairs(doc["values"], "the element values", 1))
 
 
 def fourier_to_json(side: FourierSide) -> dict:
     return {
         "group": side.registry.group.name,
         "blocks": [
-            {"label": rep.label, "dim": rep.dim, "matrix": matrix_to_pairs(block)}
+            {"label": rep.label, "dim": rep.dim, "matrix": to_pairs(block)}
             for rep, block in zip(side.registry.irreps, side.blocks)
         ],
     }

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, GroupMismatch, IncompleteRegistry, UnsupportedGroup
-from .jsonio import json_field, int_array, matrix_to_pairs, pairs_to_matrix, require_object
+from .jsonio import from_pairs, int_array, json_field, to_pairs
 
 MAX_ORDER = 512
 
@@ -356,49 +356,21 @@ def _symmetric(m: int) -> tuple[GroupTable, IrrepRegistry]:
     return g, IrrepRegistry(group=g, irreps=irreps)
 
 
-_QUAT_AXIS_MULT = {
-    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-    (1, 0): (1, 1), (2, 0): (1, 2), (3, 0): (1, 3),
-    (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0),
-    (1, 2): (1, 3), (2, 1): (-1, 3),
-    (2, 3): (1, 1), (3, 2): (-1, 1),
-    (3, 1): (1, 2), (1, 3): (-1, 2),
-}
-
-
 def _quaternion() -> tuple[GroupTable, IrrepRegistry]:
-    # index = 2*axis + (0 for +, 1 for -); axes are 1, i, j, k
+    # index = 2*axis + (0 for +, 1 for -); axes are the units 1, i, j, k as spin matrices
     order = 8
-
-    def unpack(t):
-        return (-1 if t % 2 else 1), t // 2
-
-    def pack(sign, axis):
-        return 2 * axis + (0 if sign == 1 else 1)
-
-    mult = np.zeros((order, order), dtype=np.int64)
-    for a in range(order):
-        for b in range(order):
-            sa, xa = unpack(a)
-            sb, xb = unpack(b)
-            sp, xp = _QUAT_AXIS_MULT[(xa, xb)]
-            mult[a, b] = pack(sa * sb * sp, xp)
-    inv = np.zeros(order, dtype=np.int64)
-    for a in range(order):
-        sa, xa = unpack(a)
-        inv[a] = pack(sa, xa) if xa == 0 else pack(-sa, xa)
+    units = np.array(
+        [np.eye(2), [[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]], dtype=complex
+    )
+    spin = np.array([sign * unit for unit in units for sign in (1, -1)])
+    # every entry is 0, +-1 or +-i, so products and adjoints match a unit exactly
+    mult = (spin[:, None, None] @ spin[None, :, None] == spin).all(axis=(-2, -1)).argmax(axis=-1)
+    inv = (spin.conj().transpose(0, 2, 1)[:, None] == spin).all(axis=(-2, -1)).argmax(axis=-1)
     g = GroupTable(name="q8", order=order, mult=mult, inv=inv, identity=0)
 
     def one_dim(values):
         return np.array(values, dtype=complex).reshape(order, 1, 1)
 
-    spin_axis = {
-        0: np.eye(2, dtype=complex),
-        1: np.array([[1j, 0], [0, -1j]]),
-        2: np.array([[0, 1], [-1, 0]], dtype=complex),
-        3: np.array([[0, 1j], [1j, 0]]),
-    }
-    spin = np.array([unpack(t)[0] * spin_axis[unpack(t)[1]] for t in range(order)])
     irreps = (
         Irrep("triv", 1, one_dim([1, 1, 1, 1, 1, 1, 1, 1])),
         Irrep("chi_i", 1, one_dim([1, 1, 1, 1, -1, -1, -1, -1])),
@@ -563,11 +535,7 @@ def group_to_json(g: GroupTable, registry: IrrepRegistry | None = None) -> dict:
     }
     if registry is not None:
         doc["irreps"] = [
-            {
-                "label": rep.label,
-                "dim": rep.dim,
-                "matrices": [matrix_to_pairs(m) for m in rep.matrices],
-            }
+            {"label": rep.label, "dim": rep.dim, "matrices": to_pairs(rep.matrices)}
             for rep in registry.irreps
         ]
     return doc
@@ -585,11 +553,10 @@ def group_from_json(doc: dict) -> tuple[GroupTable, IrrepRegistry | None]:
     if "irreps" in doc:
         irreps = []
         for entry in json_field(doc, "irreps", list, "group"):
-            label = str(require_object(entry, "irrep")["label"])
+            label = json_field(entry, "label", str, "irrep")
             dim = json_field(entry, "dim", int, "irrep")
-            mats = [pairs_to_matrix(m) for m in json_field(entry, "matrices", list, "irrep")]
-            if any(m.shape != (dim, dim) for m in mats):
-                raise DimensionMismatch(f"irrep {label!r}: matrices are not {dim} x {dim}")
-            irreps.append(Irrep(label=label, dim=dim, matrices=np.array(mats)))
+            matrices = json_field(entry, "matrices", list, "irrep")
+            # one read per irrep; Irrep checks the (order, dim, dim) shape
+            irreps.append(Irrep(label, dim, from_pairs(matrices, f"the matrices of irrep {label!r}", 3)))
         registry = IrrepRegistry(group=g, irreps=tuple(irreps))
     return g, registry

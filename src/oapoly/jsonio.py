@@ -1,16 +1,23 @@
-"""Canonical JSON and complex-number serialization helpers.
+"""Canonical JSON and the one codec for complex arrays in the file formats.
 
 Canonical output is byte-deterministic: object keys sorted, no
 whitespace, each float written as its shortest round-trip repr (an
-integral float keeps its ".0"), and non-finite floats refused. Complex
-numbers travel as [re, im] pairs everywhere in the file formats. The
-loaders here (pairs, typed fields, integer tables) raise ValueError
-naming any value of the wrong type or shape.
+integral float keeps its ".0"), and non-finite floats refused.
+
+Every complex array in a file is nested [re, im] pairs, nested as the
+array is: one bare pair for a scalar, a list of pairs for a vector, and
+so on. `to_pairs` writes them and `from_pairs` reads them, the whole
+nest in one `np.array(..., dtype=float64)`. A number is whatever
+Python's `float()` reads: JSON numbers, bools and numeric strings such
+as " 1.5", "1_0" or "+2". Refused, with a ValueError naming the first
+node at fault: a pair that is not two numbers, "0x10", a value that is
+not finite (1e999, "nan", "inf") or too large for a float, a nest of
+the wrong depth, and rows of different lengths. The other loaders here
+(typed fields, integer tables) also name the value at fault.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import json
@@ -33,22 +40,6 @@ def finite_or_null(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def complex_to_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def pair_to_complex(pair) -> complex:
-    if isinstance(pair, list) and len(pair) == 2:
-        try:
-            z = complex(float(pair[0]), float(pair[1]))
-            if cmath.isfinite(z):  # not 1e999, nor the strings "nan" and "inf"
-                return z
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"expected a [re, im] pair of finite numbers, got {pair!r:.80}")
-
-
 def _require_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"expected a list of {what}, got {value!r:.80}")
@@ -62,11 +53,13 @@ def require_object(value, what: str) -> dict:
 
 
 def json_field(doc, key: str, kind: type, what: str):
-    """doc[key] of the JSON object doc, which must be a `kind` (an int is
-    not a bool); the ValueError otherwise names the field and the value."""
+    """doc[key] of the JSON object doc, which must be a `kind`: a bool is
+    no int, and `float` means any JSON number. The ValueError otherwise
+    names the field and the value."""
     value = require_object(doc, what)[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{what} field {key!r} must be a JSON {kind.__name__}, got {value!r:.80}")
+    kinds, name = ((int, float), "number") if kind is float else (kind, kind.__name__)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{what} field {key!r} must be a JSON {name}, got {value!r:.80}")
     return value
 
 
@@ -81,28 +74,42 @@ def int_array(value, what: str, ndim: int) -> np.ndarray:
     return array
 
 
-def vector_to_pairs(values) -> list[list[float]]:
-    return matrix_to_pairs(np.ravel(values))
-
-
-def pairs_to_vector(pairs) -> np.ndarray:
-    return np.array(
-        [pair_to_complex(p) for p in _require_list(pairs, "[re, im] pairs")], dtype=np.complex128
-    )
-
-
-def matrix_to_pairs(mat) -> list[list[list[float]]]:
-    """[re, im] pairs of a complex array, nested as the array is."""
-    z = np.asarray(mat, dtype=np.complex128)
+def to_pairs(values) -> list:
+    """[re, im] pairs of a complex scalar or array, nested as the array is."""
+    z = np.asarray(values, dtype=np.complex128)
     return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
-def pairs_to_matrix(rows) -> np.ndarray:
-    rows = _require_list(rows, "rows of [re, im] pairs")
-    matrix = [[pair_to_complex(p) for p in _require_list(row, "[re, im] pairs")] for row in rows]
-    if len({len(row) for row in matrix}) > 1:
-        raise ValueError(f"matrix rows differ in length: {rows!r:.80}")
-    return np.array(matrix, dtype=np.complex128)
+def from_pairs(value, what: str, ndim: int) -> np.ndarray:
+    """The complex array of the [re, im] pairs nested ndim deep in value
+    (ndim 0: one bare pair). A well-formed nest holding an empty list,
+    such as [], gives an empty array of the nest's shape."""
+    try:
+        array = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is not None and array.ndim == ndim + 1 and array.shape[-1] == 2 and np.isfinite(array).all():
+        return array.view(np.complex128)[..., 0]
+    # the error path: only a valid nest holding an empty list gets past the walk
+    return np.zeros(_nest_shape(value, what, ndim), dtype=np.complex128)
+
+
+def _nest_shape(value, what: str, ndim: int) -> tuple:
+    """The shape of a valid nest of pairs, without the pairs' axis; a
+    ValueError names the first node at fault, depth first."""
+    if ndim == 0:
+        try:
+            if isinstance(value, list) and len(value) == 2 and all(math.isfinite(float(x)) for x in value):
+                return ()
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ValueError(f"expected a [re, im] pair of finite numbers, got {value!r:.80}")
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list in the [re, im] pairs of {what}, got {value!r:.80}")
+    shapes = {_nest_shape(item, what, ndim - 1) for item in value}
+    if len(shapes) > 1:
+        raise ValueError(f"rows differ in length in {what}: {value!r:.80}")
+    return (len(value), *shapes.pop()) if shapes else (0,)
 
 
 def rows_to_csv(rows: list[dict], fieldnames: list[str]) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 from .domains import AlgebraDomain
 from .errors import HomogeneityViolation, NotOrthogonal
 from .fourier import _CHUNK_BYTES
-from .jsonio import complex_to_pair, finite_or_null, json_field, pair_to_complex, pairs_to_vector
+from .jsonio import finite_or_null, from_pairs, json_field, to_pairs
 
 MAX_DEGREE = 6  # n distinct factors polarize through 2^(n-1) evaluations
 
@@ -38,6 +39,9 @@ ORTHO_SCALE = 1e-12
 # homogeneity is probed at this many random points, to this relative residual
 HOMOGENEITY_PROBES = 3
 HOMOGENEITY_TOL = 1e-9
+
+# a tensor key spells its multi-index one way only: ",".join(map(str, index))
+_TENSOR_KEY = re.compile(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*))*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,30 +377,23 @@ def check_orthogonal_additivity(P: HomPoly, pairs, tol: float = 1e-9) -> OrthoAd
 def poly_to_json(P: HomPoly) -> dict:
     if P.tensor is None:
         raise ValueError("only tensor-backed polynomials serialize to JSON")
-    tensor_doc = {}
-    for index, value in P.tensor.items():
-        key = ",".join(str(i) for i in index)
-        value = np.asarray(value, dtype=np.complex128).reshape(P.codomain_dim)
-        if P.codomain_dim == 1:
-            tensor_doc[key] = complex_to_pair(value[0])
-        else:
-            tensor_doc[key] = [complex_to_pair(z) for z in value]
+    # a scalar polynomial stores one bare pair per entry, a vector one a list of pairs
+    shape = () if P.codomain_dim == 1 else (P.codomain_dim,)
     return {
         "degree": P.degree,
         "domain": P.domain.descriptor(),
         "codomain_dim": P.codomain_dim,
-        "tensor": tensor_doc,
+        "tensor": {",".join(map(str, i)): to_pairs(np.reshape(v, shape)) for i, v in P.tensor.items()},
     }
 
 
 def poly_from_json(doc: dict, domain: AlgebraDomain) -> HomPoly:
     degree = json_field(doc, "degree", int, "polynomial")
     codomain_dim = json_field(doc, "codomain_dim", int, "polynomial")
+    ndim = 0 if codomain_dim == 1 else 1
     tensor = {}
     for key, value in json_field(doc, "tensor", dict, "polynomial").items():
-        index = tuple(int(part) for part in key.split(","))
-        if codomain_dim == 1:
-            tensor[index] = np.array([pair_to_complex(value)])
-        else:
-            tensor[index] = pairs_to_vector(value)
+        if not _TENSOR_KEY.fullmatch(key):  # so no two keys name one entry
+            raise ValueError(f"tensor key {key!r} is not a multi-index written as \"0,1\"")
+        tensor[tuple(map(int, key.split(",")))] = from_pairs(value, f"tensor entry {key!r}", ndim)
     return HomPoly.from_tensor(degree, domain, codomain_dim, tensor)

@@ -30,7 +30,7 @@ from .domains import AlgebraDomain, GroupAlgebra
 from .errors import DimensionMismatch, GroupMismatch, VerificationFailure
 from .fourier import central_idempotent
 from .groups import GroupTable
-from .jsonio import json_field, matrix_to_pairs, pairs_to_matrix
+from .jsonio import from_pairs, json_field, to_pairs
 from .polynomials import HomPoly, _unit_slot, check_homogeneity
 
 # span_check counts singular values above this fraction of the largest
@@ -64,7 +64,7 @@ def linear_map_to_json(L: LinearMap) -> dict:
     return {
         "domain": L.domain.descriptor(),
         "codomain_dim": L.codomain_dim,
-        "matrix": matrix_to_pairs(L.matrix),
+        "matrix": to_pairs(L.matrix),
     }
 
 
@@ -74,7 +74,7 @@ def linear_map_from_json(doc: dict, domain: AlgebraDomain) -> LinearMap:
             f"linear map domain {doc['domain']} != expected domain {domain.descriptor()}"
         )
     codomain_dim = json_field(doc, "codomain_dim", int, "linear map")
-    return LinearMap(domain, codomain_dim, pairs_to_matrix(doc["matrix"]))
+    return LinearMap(domain, codomain_dim, from_pairs(doc["matrix"], "the linear map matrix", 2))
 
 
 def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol) -> LinearMap:

@@ -293,6 +293,39 @@ def test_certificate_json_rejects_an_unknown_type_by_name():
             certificate_from_json(dict(doc, type=other), group)
 
 
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("degree", 3.9, "field 'degree' must be a JSON int, got 3.9"),
+        ("degree", True, "field 'degree' must be a JSON int, got True"),
+        ("degree", "3", "field 'degree' must be a JSON int, got '3'"),
+        ("degree", 0, "certificate degree 0 outside 1..26"),
+        ("degree", 10**9, "certificate degree 1000000000 outside 1..26"),
+        ("claimed_bound", "1.61", "field 'claimed_bound' must be a JSON number, got '1.61'"),
+        ("claimed_bound", True, "field 'claimed_bound' must be a JSON number, got True"),
+        ("claimed_bound", None, "field 'claimed_bound' must be a JSON number, got None"),
+        ("norm", 5, "field 'norm' must be a JSON str, got 5"),
+        ("norm", ["l1"], "field 'norm' must be a JSON str, got ['l1']"),
+        ("type", ["pn"], "certificate type must be \"pn\" or \"sn\", got ['pn']"),
+    ],
+    ids=lambda value: repr(value)[:12],
+)
+def test_certificate_json_reads_typed_fields(field, value, named):
+    group, registry = builtin_group_by_name("q8")
+    doc = certificate_to_json(pn_bound(random_elem(group, np.random.default_rng(3)), 3, registry).certificate)
+    with pytest.raises(ValueError) as info:
+        certificate_from_json(dict(doc, **{field: value}), group)
+    assert named in str(info.value)
+
+
+def test_certificate_json_takes_any_json_number_as_the_bound():
+    group, registry = builtin_group_by_name("q8")
+    doc = certificate_to_json(sn_bound(random_elem(group, np.random.default_rng(3)), 3).certificate)
+    loaded = certificate_from_json(dict(doc, claimed_bound=2), group)
+    assert type(loaded.claimed_bound) is float and loaded.claimed_bound == 2.0
+    assert certificate_from_json(dict(doc, degree=certificates.MAX_NORM_DEGREE), group).degree == 26
+
+
 def test_certificate_json_checks_the_group_once_and_reads_parts_as_pairs():
     group, registry = builtin_group_by_name("q8")
     a = random_elem(group, np.random.default_rng(4))

@@ -365,6 +365,38 @@ def test_numbers_that_parse_non_finite_are_input_errors(s3_files, tmp_path, numb
         assert captured.err.startswith("input error: expected a [re, im] pair of finite numbers"), captured.err
 
 
+def test_a_number_too_large_for_a_float_is_an_input_error(s3_files, tmp_path, capsys):
+    element = json.loads(Path(s3_files["element"]).read_text())
+    element["values"][2] = [0, 10**400]
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(element))
+    for argv in (
+        ["norms", "certify", "--group", "s3", "--input", str(path), "--n", "2"],
+        ["fourier", "transform", "--group", "s3", "--input", str(path)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("input error: expected a [re, im] pair of finite numbers, got [0, 1000")
+
+
+@pytest.mark.parametrize("alias", ["0, 1", "0,+1", "0_0,1", "00,1", "-0,1", " 0,1", "0,1 ", "0,1,", "٠,1", "", "a"])
+def test_a_tensor_key_has_one_spelling(alias, tmp_path, capsys):
+    # the alias once silently overrode "0,1": extraction read L from its 5 and passed
+    doc = {"degree": 2, "codomain_dim": 1, "domain": {"type": "group", "name": "z2"}}
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(dict(doc, tensor={"0,1": [0, 0]})))
+    for command in (["represent", "extract"], ["oadd", "check"]):
+        assert main(command + ["--poly", str(path)]) == 0, command
+    capsys.readouterr()
+    path.write_text(json.dumps(dict(doc, tensor={"0,1": [0, 0], alias: [5, 0]})))
+    for command in (["represent", "extract"], ["oadd", "check"]):
+        code = main(command + ["--poly", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", command
+        assert captured.err == f"input error: tensor key {alias!r} is not a multi-index written as \"0,1\"\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

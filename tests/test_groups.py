@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ def test_quaternion_dimensions():
     assert group.order == 8
     assert sorted(registry.dims) == [1, 1, 1, 1, 2]
     assert sum(d * d for d in registry.dims) == 8
+
+
+def test_quaternion_table_follows_hamilton():
+    # index 2*axis + (0 for +, 1 for -) over the axes 1, i, j, k
+    one, minus_one, i, minus_i, j, minus_j, k, minus_k = range(8)
+    group, _ = builtin_group("quaternion", 8)
+    for a, b, product in [(i, j, k), (j, k, i), (k, i, j), (j, i, minus_k), (k, j, minus_i), (i, k, minus_j)]:
+        assert group.mult[a, b] == product
+    assert [group.mult[t, t] for t in (i, j, k, minus_one)] == [minus_one, minus_one, minus_one, one]
+    assert group.inv.tolist() == [one, minus_one, minus_i, i, minus_j, j, minus_k, k]
 
 
 def test_validate_group_z2_valid():
@@ -158,6 +169,24 @@ def test_group_json_round_trip():
     np.testing.assert_array_equal(loaded_group.mult, group.mult)
     report = validate_irreps(loaded_group, loaded_registry)
     assert report.ok
+
+
+@pytest.mark.parametrize("label", [5, None, ["std2"]])
+def test_group_json_irrep_label_must_be_a_string(label):
+    doc = group_to_json(*builtin_group_by_name("s3"))
+    doc["irreps"][2]["label"] = label
+    with pytest.raises(ValueError, match=f"irrep field 'label' must be a JSON str, got {re.escape(repr(label))}"):
+        group_from_json(doc)
+
+
+def test_group_json_irrep_matrices_keep_their_shape_check():
+    doc = group_to_json(*builtin_group_by_name("s3"))
+    doc["irreps"][2]["dim"] = 3
+    with pytest.raises(DimensionMismatch, match="matrices are not order x 3 x 3"):
+        group_from_json(doc)
+    doc["irreps"][2].update(dim=2, matrices=doc["irreps"][2]["matrices"][:5])
+    with pytest.raises(DimensionMismatch, match="matrices for 5 elements, group has 6"):
+        group_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
