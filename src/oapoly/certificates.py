@@ -105,14 +105,15 @@ class CertificateReport:
 
 
 def verify_certificate(cert: PnCertificate | SnCertificate) -> CertificateReport:
-    """Recompute the reconstruction sum and the claimed bound."""
+    """Recompute the reconstruction sum, the claimed bound and (sn) that each tuple has `degree` factors."""
+    shaped = isinstance(cert, PnCertificate) or all(len(t) == cert.degree for t in cert.tuples)
     target_norm = l1_norm(cert.target)
     residual = GroupAlgebra(cert.target.group).norm(cert.reconstruction() - cert.target.values)
     rel = residual / max(target_norm, 1.0)
     bound = cert.recompute_bound()
     bound_residual = abs(bound - cert.claimed_bound) / max(1.0, abs(cert.claimed_bound))
     return CertificateReport(
-        passed=(rel <= RECON_TOL and bound_residual <= BOUND_TOL),
+        passed=(shaped and rel <= RECON_TOL and bound_residual <= BOUND_TOL),
         reconstruction_residual=rel,
         bound_residual=bound_residual,
     )

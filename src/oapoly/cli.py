@@ -48,6 +48,9 @@ def _env_seed() -> int:
 # Work caps (build_parser): one list entry, or all of --refine, at its cap takes
 # about 1 s on one core and far below 1 GiB; README "CLI" has the measurements.
 MAX_LIST_ENTRIES = 8
+# `oadd check --pairs` is capped by memory instead: it holds about 8 stacks of pairs x dim
+# values, so at the cap a dimension-512 domain peaks at 0.75 GB (512 pointwise slots; z512 0.6)
+MAX_PAIRS = 10_000
 
 
 def _in_range(kind, low, high=math.inf):
@@ -325,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = oadd_sub.add_parser("check")
     check.add_argument("--poly", required=True, help="polynomial JSON file")
     _add_group(check)
-    check.add_argument("--pairs", type=_in_range(int, 1), default=200)
+    pairs = _in_range(int, 1, MAX_PAIRS)
+    check.add_argument("--pairs", type=pairs, default=200, help=f"pair count, 1..{MAX_PAIRS}")
     check.add_argument("--tol", type=_in_range(float, 0), default=1e-9)
     _add_common(check, _cmd_oadd_check)
 

@@ -35,7 +35,8 @@ class AlgebraDomain:
     def one(self) -> np.ndarray:
         raise NotImplementedError
 
-    def norm(self, x: np.ndarray) -> float:
+    def norm(self, x: np.ndarray) -> float | np.ndarray:
+        """The norm of a vector; a stack gives one norm per row, each bit for bit its row's."""
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -75,7 +76,10 @@ class BlockAlgebra(AlgebraDomain):
         return np.concatenate([np.eye(d, dtype=np.complex128).reshape(-1) for d in self.dims])
 
     def norm(self, x):
-        return float(np.linalg.norm(np.asarray(x)))
+        # per row, the real and imaginary dot products np.linalg.norm takes of a vector
+        x = np.asarray(x)
+        out = np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+        return float(out) if out.ndim == 0 else out
 
     def from_blocks(self, v):
         return v
@@ -114,7 +118,8 @@ class GroupAlgebra(AlgebraDomain):
         return delta
 
     def norm(self, x):
-        return float(np.abs(np.asarray(x)).sum() / self.group.order)
+        out = np.abs(np.asarray(x)).sum(axis=-1) / self.group.order
+        return float(out) if out.ndim == 0 else out
 
     def descriptor(self):
         return {"type": "group", "name": self.group.name}

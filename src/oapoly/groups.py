@@ -238,13 +238,10 @@ def _cyclic(n: int) -> tuple[GroupTable, IrrepRegistry]:
     mult = (idx[:, None] + idx[None, :]) % n
     inv = (-idx) % n
     g = GroupTable(name=f"z{n}", order=n, mult=mult, inv=inv, identity=0)
-    irreps = []
-    for j in range(n):
-        # exponents reduced mod n before exp() so large j*t stays accurate
-        theta = 2.0 * np.pi * ((j * idx) % n) / n
-        mats = np.exp(1j * theta).reshape(n, 1, 1)
-        irreps.append(Irrep(label=f"chi{j}", dim=1, matrices=mats))
-    return g, IrrepRegistry(group=g, irreps=tuple(irreps))
+    # chi_j(t) = roots[(j t) mod n]: exponents reduced mod n, so large j t stays accurate
+    roots = np.exp(1j * (2.0 * np.pi * idx / n))
+    irreps = tuple(Irrep(f"chi{j}", 1, roots[(j * idx) % n].reshape(n, 1, 1)) for j in range(n))
+    return g, IrrepRegistry(group=g, irreps=irreps)
 
 
 def _dihedral(n: int) -> tuple[GroupTable, IrrepRegistry]:

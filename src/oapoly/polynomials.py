@@ -12,8 +12,9 @@ which `polarization` collapses to one row per class of sign patterns.
 P is orthogonally additive when P(a+b) = P(a) + P(b) whenever
 a b = b a = 0. The pair generator below builds such zero products on
 the blocks of any domain (complementary diagonals of one block under a
-random unitary, and random blocks on complementary sets of blocks),
-plus the degenerate pair (f, 0).
+Haar unitary, and random blocks on complementary sets of blocks), plus
+the degenerate pair (f, 0), drawing pair by pair and conjugating in
+stacks per block size.
 """
 
 from __future__ import annotations
@@ -256,16 +257,9 @@ def sym_product(xs: Sequence[np.ndarray], domain: AlgebraDomain) -> np.ndarray:
 # orthogonal pairs
 
 
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _split_diagonals(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     cut = int(rng.integers(1, d))
-    a = np.zeros(d, dtype=np.complex128)
-    b = np.zeros(d, dtype=np.complex128)
+    a, b = np.zeros((2, d), dtype=np.complex128)
     a[:cut] = rng.standard_normal(cut) + 1j * rng.standard_normal(cut)
     b[cut:] = rng.standard_normal(d - cut) + 1j * rng.standard_normal(d - cut)
     return a, b
@@ -279,11 +273,14 @@ def orthogonal_pairs(
     The first pair is the degenerate (x, 0). Every other pair is built on
     the domain's blocks and mapped to coefficients by `from_blocks`, from
     one of two families, 50/50 where both exist: "within" (complementary
-    diagonals of one block of size >= 2, conjugated by a random unitary)
+    diagonals of one block of size >= 2, conjugated by a Haar unitary)
     and "cross" (random blocks on a random nonempty proper subset of the
     blocks, against random blocks on the rest). On a group algebra the
     blocks are its minimal ideals. The pairs are not validated here:
-    `check_orthogonal_additivity` validates every pair it scores.
+    `check_orthogonal_additivity` validates every pair it scores. Draws
+    are made pair by pair, in order; then, per block size, one stacked QR
+    with the phases of diag(R) divided out (Mezzadri's Haar unitaries)
+    and one stacked u diag(a) u* give every within pair, bit for bit.
     """
     rng = np.random.default_rng(seed)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
@@ -299,31 +296,31 @@ def orthogonal_pairs(
         raise ValueError("a single 1 x 1 block admits only zero pairs")
     # (x, y) of every further pair on the blocks, mapped to coefficients at once
     blocks = np.zeros((max(count - len(pairs), 0), 2, domain.dim), dtype=np.complex128)
-    for x, y in blocks:
+    # per block size, (pair, block start, Gaussian matrix, split diagonals) of each within pair
+    within: dict[int, list] = {}
+    for pair, (x, y) in enumerate(blocks):
         if wide and (not can_cross or rng.random() < 0.5):
             i = int(rng.choice(wide))
-            u = _haar_unitary(dims[i], rng)
-            for row, diagonal in zip((x, y), _split_diagonals(dims[i], rng)):
-                row[starts[i] : starts[i + 1]] = (u @ np.diag(diagonal) @ u.conj().T).reshape(-1)
+            z = rng.standard_normal((dims[i], dims[i])) + 1j * rng.standard_normal((dims[i], dims[i]))
+            within.setdefault(dims[i], []).append((pair, starts[i], z, _split_diagonals(dims[i], rng)))
         else:
             # the blocks perm[:k] for a random permutation and 1 <= k < #blocks
             perm = rng.permutation(len(dims))
             mask = np.repeat(np.argsort(perm) < rng.integers(1, len(dims)), sizes)
             x[:] = domain.random(rng) * mask
             y[:] = domain.random(rng) * ~mask
+    for d, drawn in within.items():
+        rows, offsets, zs, splits = map(np.array, zip(*drawn))
+        q, r = np.linalg.qr(zs)
+        phases = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
+        u = (q * (phases / np.abs(phases)))[:, None]
+        diagonals = np.zeros((len(rows), 2, d, d), dtype=np.complex128)
+        diagonals[..., range(d), range(d)] = splits
+        columns = offsets[:, None, None] + np.arange(d * d)
+        products = u @ diagonals @ u.conj().swapaxes(2, 3)
+        blocks[rows[:, None, None], [[0], [1]], columns] = products.reshape(-1, 2, d * d)
     pairs += [(x, y) for x, y in domain.from_blocks(blocks)]
     return pairs
-
-
-def _require_orthogonal(domain: AlgebraDomain, x, y) -> None:
-    scale = domain.norm(x) * domain.norm(y)
-    forward = domain.norm(domain.mul(x, y))
-    backward = domain.norm(domain.mul(y, x))
-    if max(forward, backward) > ORTHO_SCALE * max(scale, 1e-30):
-        raise NotOrthogonal(
-            f"pair has nonzero products: |xy| = {forward:.3e}, |yx| = {backward:.3e}, "
-            f"|x||y| = {scale:.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -347,18 +344,29 @@ class OrthoAdditivityReport:
 def check_orthogonal_additivity(P: HomPoly, pairs, tol: float = 1e-9) -> OrthoAdditivityReport:
     """Test P(x+y) = P(x) + P(y) on two-sided zero-product pairs.
 
-    Every supplied pair is validated; a pair that is not orthogonal
-    raises instead of being silently scored. P is called three times,
-    on the stacks of all x, all y and all x + y. The pass criterion is
-    relative: residual <= tol * (1 + |P(x)| + |P(y)|) for every pair,
-    and a non-finite residual fails its pair. The worst pair is the
-    first non-finite one, else the first of largest residual.
+    Every supplied pair is validated, all at once, by two stacked
+    products and the domain's row norms; the first pair that is not
+    orthogonal raises instead of being silently scored. P is called
+    three times, on the stacks of all x, all y and all x + y. The pass
+    criterion is relative: residual <= tol * (1 + |P(x)| + |P(y)|) for
+    every pair, and a non-finite residual fails its pair. The worst
+    pair is the first non-finite one, else the first of largest residual.
     """
     pairs = list(pairs)
-    xs = np.array([x for x, _ in pairs], dtype=np.complex128).reshape(len(pairs), P.domain.dim)
-    ys = np.array([y for _, y in pairs], dtype=np.complex128).reshape(len(pairs), P.domain.dim)
-    for x, y in zip(xs, ys):
-        _require_orthogonal(P.domain, x, y)
+    domain = P.domain
+    xs = np.array([x for x, _ in pairs], dtype=np.complex128).reshape(len(pairs), domain.dim)
+    ys = np.array([y for _, y in pairs], dtype=np.complex128).reshape(len(pairs), domain.dim)
+    scale = domain.norm(xs) * domain.norm(ys)
+    forward, backward = domain.norm(domain.mul(xs, ys)), domain.norm(domain.mul(ys, xs))
+    # max as Python's max(a, b), a unless b > a, so a NaN lands where the per-pair check put it
+    largest = np.where(backward > forward, backward, forward)
+    bad = np.flatnonzero(largest > ORTHO_SCALE * np.where(1e-30 > scale, 1e-30, scale))
+    if bad.size:
+        k = bad[0]
+        raise NotOrthogonal(
+            f"pair has nonzero products: |xy| = {forward[k]:.3e}, |yx| = {backward[k]:.3e}, "
+            f"|x||y| = {scale[k]:.3e}"
+        )
     px, py = P(xs), P(ys)
     residuals = np.linalg.norm(P(xs + ys) - px - py, axis=1)
     bound = tol * (1.0 + np.linalg.norm(px, axis=1) + np.linalg.norm(py, axis=1))

@@ -192,6 +192,19 @@ def test_verify_certificate_detects_missing_part():
     assert report.reconstruction_residual > 1e-6
 
 
+@pytest.mark.parametrize("degree", [1, 3, 5])
+def test_verify_certificate_refuses_sn_tuples_of_another_length(degree):
+    # S_2(delta, a) = a, so only the relabelled degree says it is no degree-n witness
+    group, _ = builtin_group_by_name("q8")
+    a = random_elem(group, np.random.default_rng(5))
+    doc = certificate_to_json(sn_bound(a, 2).certificate)
+    assert verify_certificate(certificate_from_json(doc, group)).passed
+    relabelled = certificate_from_json(dict(doc, degree=degree), group)
+    report = verify_certificate(relabelled)
+    assert not report.passed
+    assert report.reconstruction_residual <= certificates.RECON_TOL
+
+
 def test_hand_built_block_certificate_in_s3():
     # inside the 2-dim ideal of S3: identity block = E11^2 + E22^2
     group, registry = builtin_group_by_name("s3")

@@ -415,6 +415,7 @@ def test_a_tensor_key_has_one_spelling(alias, tmp_path, capsys):
         ["circle", "fejer", "--m", "262145"],
         ["circle", "fejer", "--m", "2,x"],
         ["oadd", "check", "--pairs", "0"],
+        ["oadd", "check", "--pairs", "10001"],
         ["represent", "extract", "--pairs", "0"],
         ["represent", "extract", "--samples", "0"],
         ["represent", "verify", "--phi", "phi.json", "--samples", "0"],
@@ -444,6 +445,7 @@ def test_a_tensor_key_has_one_spelling(alias, tmp_path, capsys):
         "fejer-m-above-cap",
         "fejer-m-not-an-int",
         "oadd-pairs",
+        "oadd-pairs-above-cap",
         "extract-pairs",
         "extract-samples",
         "verify-samples",
@@ -531,6 +533,22 @@ def test_work_flags_are_capped(argv, cap, z512_element):
     done = run_within_one_gib(argv + [str(cap)], timeout=30)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["pass"] is True
+
+
+def test_oadd_check_pairs_are_capped_by_memory(tmp_path):
+    # 512 pointwise slots cost more memory per pair than z512 (0.75 against 0.6 GB at the cap); P = sum of squares is OA
+    poly = tmp_path / "poly_trig512.json"
+    tensor = {f"{k},{k}": [1.0, 0.0] for k in range(512)}
+    poly.write_text(json.dumps({"degree": 2, "domain": {"type": "trig", "support": list(range(512))},
+                                "codomain_dim": 1, "tensor": tensor}))
+    argv = ["oadd", "check", "--poly", str(poly), "--seed", "1", "--pairs"]
+    # at 10^9 the stacks ran out of memory with a traceback; the parser refuses them at once
+    done = run_within_one_gib(argv + [str(10**9)], timeout=30)
+    assert done.returncode == 2 and "argument --pairs" in done.stderr
+    assert "Traceback" not in done.stderr
+    done = run_within_one_gib(argv + [str(cli.MAX_PAIRS)], timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"] is True
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -45,6 +45,17 @@ def test_cyclic4_characters_explicit():
         np.testing.assert_allclose(rep.matrices[:, 0, 0], expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 512])
+def test_cyclic_characters_are_the_reduced_exponentials_bit_for_bit(n):
+    # gathered from the n roots of unity, each character is its own exp() call, bit for bit
+    _, registry = builtin_group("cyclic", n)
+    t = np.arange(n)
+    for j, rep in enumerate(registry.irreps):
+        assert rep.label == f"chi{j}"
+        want = np.exp(1j * (2.0 * np.pi * ((j * t) % n) / n)).reshape(n, 1, 1)
+        assert rep.matrices.tobytes() == want.tobytes()
+
+
 def test_s3_dimensions():
     group, registry = builtin_group("symmetric", 3)
     assert group.order == 6

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from oapoly import (
     verify_representation,
 )
 from oapoly.fourier import _CHUNK_BYTES
+from oapoly.groups import group_from_json, group_to_json
 from oapoly.polynomials import (
     _unit_slot,
     check_homogeneity,
@@ -485,3 +487,159 @@ def test_homogeneity_probe_rejects_a_nan_evaluator():
     for route in (phi_group, phi_group_blockwise):
         with pytest.raises(HomogeneityViolation):
             route(nan_poly(group_domain))
+
+
+def looped_pairs(domain, count, seed):
+    """The reference: the per-pair generator, one QR and two conjugations per within pair."""
+
+    def haar_unitary(d, rng):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    def split_diagonals(d, rng):
+        cut = int(rng.integers(1, d))
+        a = np.zeros(d, dtype=np.complex128)
+        b = np.zeros(d, dtype=np.complex128)
+        a[:cut] = rng.standard_normal(cut) + 1j * rng.standard_normal(cut)
+        b[cut:] = rng.standard_normal(d - cut) + 1j * rng.standard_normal(d - cut)
+        return a, b
+
+    rng = np.random.default_rng(seed)
+    pairs = []
+    if count > 0:
+        pairs.append((domain.random(rng), np.zeros(domain.dim, dtype=np.complex128)))
+    dims = domain.dims
+    sizes = [d * d for d in dims]
+    starts = np.cumsum([0] + sizes).tolist()
+    wide = [i for i, d in enumerate(dims) if d >= 2]
+    can_cross = len(dims) >= 2
+    blocks = np.zeros((max(count - len(pairs), 0), 2, domain.dim), dtype=np.complex128)
+    for x, y in blocks:
+        if wide and (not can_cross or rng.random() < 0.5):
+            i = int(rng.choice(wide))
+            u = haar_unitary(dims[i], rng)
+            for row, diagonal in zip((x, y), split_diagonals(dims[i], rng)):
+                row[starts[i] : starts[i + 1]] = (u @ np.diag(diagonal) @ u.conj().T).reshape(-1)
+        else:
+            perm = rng.permutation(len(dims))
+            mask = np.repeat(np.argsort(perm) < rng.integers(1, len(dims)), sizes)
+            x[:] = domain.random(rng) * mask
+            y[:] = domain.random(rng) * ~mask
+    pairs += [(x, y) for x, y in domain.from_blocks(blocks)]
+    return pairs
+
+
+def pair_domains():
+    s4 = GroupAlgebra(*builtin_group_by_name("s4"))  # irreps of dimension 1, 1, 2, 3, 3
+    from_file = GroupAlgebra(*group_from_json(json.loads(json.dumps(group_to_json(*builtin_group_by_name("d6"))))))
+    return {
+        "q8": GroupAlgebra(*builtin_group_by_name("q8")),
+        "s4": s4,
+        "d6-file": from_file,
+        "d64": GroupAlgebra(*builtin_group_by_name("d64")),
+        "matrix2": MatrixAlgebra(2),
+        "matrix3": MatrixAlgebra(3),
+        "pointwise": PointwiseAlgebra((0, 1, -1, 5)),
+    }
+
+
+@pytest.mark.parametrize("name", list(pair_domains()))
+def test_stacked_pairs_equal_the_per_pair_loop_bit_for_bit(name):
+    domain = pair_domains()[name]
+    assert name != "d6-file" or domain.group.registry is None  # a file table is not linked
+    for count in (0, 1, 2, 300):
+        for seed in (0, 1, 29):
+            got, want = orthogonal_pairs(domain, count, seed), looped_pairs(domain, count, seed)
+            assert len(got) == len(want) == count
+            for (x, y), (x0, y0) in zip(got, want):
+                assert x.tobytes() == x0.tobytes() and y.tobytes() == y0.tobytes()
+
+
+def looped_validation(domain, pairs):
+    """The reference: each pair's two products and three norms, one pair at a time."""
+    for x, y in pairs:
+        scale = domain.norm(x) * domain.norm(y)
+        forward = domain.norm(domain.mul(x, y))
+        backward = domain.norm(domain.mul(y, x))
+        if max(forward, backward) > 1e-12 * max(scale, 1e-30):
+            raise NotOrthogonal(
+                f"pair has nonzero products: |xy| = {forward:.3e}, |yx| = {backward:.3e}, "
+                f"|x||y| = {scale:.3e}"
+            )
+
+
+def validation_outcome(check, *args):
+    try:
+        check(*args)
+    except NotOrthogonal as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["s4", "d64", "matrix3", "pointwise"])
+def test_batched_validation_raises_on_the_first_offending_pair_as_the_loop_does(name):
+    domain = pair_domains()[name]
+    P = HomPoly.prototypical(np.ones((1, domain.dim)), 2, domain)
+    pairs = orthogonal_pairs(domain, 40, seed=5)
+    assert validation_outcome(check_orthogonal_additivity, P, pairs) is None
+    rng = np.random.default_rng(6)
+    for k in (0, 1, 17, 39):
+        broken = list(pairs)
+        broken[k] = (broken[k][0], domain.random(rng))  # no zero product
+        broken[k + 1 :] = [(x, x) for x, _ in broken[k + 1 :]]  # later offenders are not reported
+        message = validation_outcome(looped_validation, domain, broken)
+        assert message is not None and message.startswith("pair has nonzero products")
+        assert validation_outcome(check_orthogonal_additivity, P, broken) == message
+
+
+class Twisted(PointwiseAlgebra):
+    """a b = a rev(b) / a_0, NaN where a_0 = 0: so |xy| can be NaN beside a finite |yx|."""
+
+    def mul(self, a, b):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return a * b[..., ::-1] / a[..., :1]
+
+
+def test_batched_validation_treats_nan_pairs_as_the_loop_does():
+    P = HomPoly.prototypical(np.ones((1, 4)), 2, MatrixAlgebra(2))
+    nan = np.full(4, np.nan, dtype=complex)
+    cases = [
+        [(nan, E22)],  # every NaN product or scale is below no bound
+        [(E11, nan)],
+        [(E11, E22), (nan, nan), (E12, E21)],  # the last pair offends: E12 E21 = E11
+    ]
+    for pairs in cases:
+        want = validation_outcome(looped_validation, P.domain, pairs)
+        assert validation_outcome(check_orthogonal_additivity, P, pairs) == want
+    assert validation_outcome(check_orthogonal_additivity, P, cases[1]) is None
+    assert "|xy| = 1.000e+00" in validation_outcome(check_orthogonal_additivity, P, cases[2])
+    # max(|xy|, |yx|) is Python's: a NaN |xy| is kept, a NaN |yx| is passed over
+    domain = Twisted((0, 1))
+    P = HomPoly.prototypical(np.ones((1, 2)), 2, domain)
+    x, y = np.array([0, 1], dtype=complex), np.array([1, 0], dtype=complex)
+    assert validation_outcome(looped_validation, domain, [(x, y)]) is None
+    assert validation_outcome(check_orthogonal_additivity, P, [(x, y)]) is None
+    want = validation_outcome(looped_validation, domain, [(x, y), (y, x)])
+    assert want == "pair has nonzero products: |xy| = 1.000e+00, |yx| = nan, |x||y| = 1.000e+00"
+    assert validation_outcome(check_orthogonal_additivity, P, [(x, y), (y, x)]) == want
+
+
+@pytest.mark.parametrize("name", list(pair_domains()))
+def test_row_norms_are_the_norms_of_the_rows_bit_for_bit(name):
+    domain = pair_domains()[name]
+    rng = np.random.default_rng(8)
+    # np.linalg.norm(stack, axis=-1) differs from the norms of the rows in about one row in four
+    stack = domain.random(rng, (64,)) * np.logspace(-150, 150, 64)[:, None]
+    stack[3] = 0.0
+    stack[5, 1] = np.nan
+    rows = domain.norm(stack)
+    assert rows.shape == (64,) and domain.norm(stack[:0]).shape == (0,)
+    assert rows.tobytes() == np.array([domain.norm(row) for row in stack]).tobytes()
+    assert type(domain.norm(stack[0])) is float
+    # and each is the norm of one vector as it always was: L1 over the order, or np.linalg.norm
+    if isinstance(domain, GroupAlgebra):
+        vector_norms = [np.abs(row).sum() / domain.dim for row in stack]
+    else:
+        vector_norms = [np.linalg.norm(row) for row in stack]
+    assert rows.tobytes() == np.array(vector_norms).tobytes()
