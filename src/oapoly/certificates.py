@@ -37,14 +37,22 @@ BOUND_TOL = 1e-12
 MAX_NORM_DEGREE = 26
 
 
+class _Certificate:
+    """Built without a claimed bound, a certificate claims its recompute_bound; a loaded one keeps its file's."""
+
+    def __post_init__(self):
+        if self.claimed_bound is None:
+            object.__setattr__(self, "claimed_bound", self.recompute_bound())
+
+
 @dataclass(frozen=True, eq=False)
-class PnCertificate:
+class PnCertificate(_Certificate):
     """Witness a = sum_j parts_j^n with bound sum_j |parts_j|^n."""
 
     target: AlgElement
     parts: tuple[AlgElement, ...]
     degree: int
-    claimed_bound: float = 0.0
+    claimed_bound: float | None = None
 
     def reconstruction(self) -> np.ndarray:
         group = self.target.group
@@ -57,13 +65,13 @@ class PnCertificate:
 
 
 @dataclass(frozen=True, eq=False)
-class SnCertificate:
+class SnCertificate(_Certificate):
     """Witness a = sum_j S_n(tuple_j) with bound sum_j prod |tuple_j|."""
 
     target: AlgElement
     tuples: tuple[tuple[AlgElement, ...], ...]
     degree: int
-    claimed_bound: float = 0.0
+    claimed_bound: float | None = None
 
     def reconstruction(self) -> np.ndarray:
         total = np.zeros(self.target.group.order, dtype=np.complex128)
@@ -127,10 +135,8 @@ def sn_bound(a: AlgElement, n: int) -> NormBound:
     universal lower bound, so lower = upper.
     """
     delta = AlgElement(a.group, GroupAlgebra(a.group).one())
-    factors = tuple([delta] * (n - 1) + [a])
-    bound = float(math.prod(l1_norm(f) for f in factors))
-    cert = SnCertificate(a, (factors,), n, bound)
-    return NormBound(lower=l1_norm(a), upper=bound, certificate=cert)
+    cert = SnCertificate(a, (tuple([delta] * (n - 1) + [a]),), n)
+    return NormBound(lower=l1_norm(a), upper=cert.claimed_bound, certificate=cert)
 
 
 def pn_from_sn(cert: SnCertificate) -> PnCertificate:
@@ -144,7 +150,7 @@ def pn_from_sn(cert: SnCertificate) -> PnCertificate:
     for factors in cert.tuples:
         rows, weights = polarization([f.values for f in factors], domain)
         parts += [AlgElement(domain.group, part) for part in np.power(weights, 1.0 / n)[:, None] * rows]
-    return PnCertificate(cert.target, tuple(parts), n, float(sum(l1_norm(part) ** n for part in parts)))
+    return PnCertificate(cert.target, tuple(parts), n)
 
 
 def _is_idempotent(a: AlgElement) -> bool:
@@ -192,14 +198,14 @@ def pn_bound(
     """
     lower = l1_norm(a)
     if np.abs(a.values).max() == 0.0:
-        candidates = [PnCertificate(a, (), n, 0.0)]
+        candidates = [PnCertificate(a, (), n)]
     else:
         candidates = [pn_from_sn(sn_bound(a, n).certificate)]
         if _is_idempotent(a):
-            candidates.append(PnCertificate(a, (a,), n, l1_norm(a) ** n))
+            candidates.append(PnCertificate(a, (a,), n))
         if registry is not None and registry.is_complete():
             for parts in _block_root_parts(a, n, registry) or ():
-                candidates.append(PnCertificate(a, tuple(parts), n, float(sum(l1_norm(p) ** n for p in parts))))
+                candidates.append(PnCertificate(a, tuple(parts), n))
             if refine_steps > 0:
                 candidates.extend(_refine_by_central_units(a, n, registry, refine_steps, seed))
 
@@ -235,9 +241,9 @@ def _refine_by_central_units(
         c = AlgElement(group, registry.synthesis @ (one * repeated))
         c_inv = registry.synthesis @ (one / repeated)
         factors = tuple([c] + [delta] * (n - 2) + [AlgElement(group, domain.mul(a.values, c_inv))])
-        bound = float(math.prod(l1_norm(f) for f in factors))
-        if bound < best_bound:
-            candidate = pn_from_sn(SnCertificate(a, (factors,), n, bound))
+        sn = SnCertificate(a, (factors,), n)
+        if sn.claimed_bound < best_bound:
+            candidate = pn_from_sn(sn)
             if candidate.claimed_bound < best_bound:
                 best_bound = candidate.claimed_bound
                 improving.append(candidate)

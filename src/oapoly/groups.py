@@ -7,9 +7,11 @@ makes every finite group an exactly computable compact group.
 
 Irreps are stored as explicit families of unitary matrices, one per
 element. The builtin menu (cyclic, dihedral, symmetric 3/4, quaternion)
-ships complete registries built from standard constructions; general
-irrep computation from a bare table is out of scope, so user-supplied
-groups must bring their own registry through the JSON format and pass
+ships complete registries built from standard constructions: the z_n
+and d_n tables come from modular arithmetic, the S3, S4 and Q8 tables
+from exact products of permutation or spin matrices. General irrep
+computation from a bare table is out of scope, so user-supplied groups
+must bring their own registry through the JSON format and pass
 :func:`validate_group` and :func:`validate_irreps`, which test
 associativity and the homomorphisms on a small generating set and the
 irreps through one Schur-orthogonality Gram, never pair by pair.
@@ -233,6 +235,22 @@ class ValidationReport:
 # builtin constructions
 
 
+def _one_dim(label: str, values) -> Irrep:
+    """The 1-dim irrep with these character values, one per element."""
+    return Irrep(label, 1, np.asarray(values, dtype=complex).reshape(-1, 1, 1))
+
+
+def _table(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mult and inv of a group of exact matrices: every entry is 0, +-1 or
+    +-i, so each product and each adjoint equals one member bit for bit."""
+    flat = mats.reshape(len(mats), -1)
+
+    def member(x):
+        return (x.reshape(*x.shape[:-2], 1, -1) == flat).all(axis=-1).argmax(axis=-1)
+
+    return member(mats[:, None] @ mats), member(mats.conj().transpose(0, 2, 1))
+
+
 def _cyclic(n: int) -> tuple[GroupTable, IrrepRegistry]:
     idx = np.arange(n)
     mult = (idx[:, None] + idx[None, :]) % n
@@ -240,7 +258,7 @@ def _cyclic(n: int) -> tuple[GroupTable, IrrepRegistry]:
     g = GroupTable(name=f"z{n}", order=n, mult=mult, inv=inv, identity=0)
     # chi_j(t) = roots[(j t) mod n]: exponents reduced mod n, so large j t stays accurate
     roots = np.exp(1j * (2.0 * np.pi * idx / n))
-    irreps = tuple(Irrep(f"chi{j}", 1, roots[(j * idx) % n].reshape(n, 1, 1)) for j in range(n))
+    irreps = tuple(_one_dim(f"chi{j}", roots[(j * idx) % n]) for j in range(n))
     return g, IrrepRegistry(group=g, irreps=irreps)
 
 
@@ -254,20 +272,11 @@ def _dihedral(n: int) -> tuple[GroupTable, IrrepRegistry]:
     g = GroupTable(name=f"d{n}", order=order, mult=mult, inv=inv, identity=0)
 
     i = np.arange(n)
-    irreps = [
-        Irrep("triv", 1, np.ones((order, 1, 1), dtype=complex)),
-        Irrep(
-            "sgn",
-            1,
-            np.concatenate([np.ones(n), -np.ones(n)]).reshape(order, 1, 1).astype(complex),
-        ),
-    ]
+    irreps = [_one_dim("triv", np.ones(order)), _one_dim("sgn", np.repeat([1.0, -1.0], n))]
     if n % 2 == 0:
         alt = (-1.0) ** i
-        irreps.append(Irrep("alt_r", 1, np.concatenate([alt, alt]).reshape(order, 1, 1).astype(complex)))
-        irreps.append(Irrep("alt_rs", 1, np.concatenate([alt, -alt]).reshape(order, 1, 1).astype(complex)))
-    two_dim_count = (n - 1) // 2 if n % 2 == 1 else n // 2 - 1
-    for h in range(1, two_dim_count + 1):
+        irreps += [_one_dim("alt_r", np.tile(alt, 2)), _one_dim("alt_rs", np.concatenate([alt, -alt]))]
+    for h in range(1, (n + 1) // 2):
         w = np.exp(2j * np.pi * ((h * i) % n) / n)
         mats = np.zeros((order, 2, 2), dtype=complex)
         mats[:n, 0, 0] = w
@@ -278,104 +287,49 @@ def _dihedral(n: int) -> tuple[GroupTable, IrrepRegistry]:
     return g, IrrepRegistry(group=g, irreps=tuple(irreps))
 
 
-def _perm_matrix(p: tuple[int, ...]) -> np.ndarray:
-    m = len(p)
-    mat = np.zeros((m, m))
-    for j in range(m):
-        mat[p[j], j] = 1.0
-    return mat
-
-
-def _helmert(m: int) -> np.ndarray:
-    """Orthonormal basis of the sum-zero hyperplane in R^m, shape (m, m-1)."""
-    cols = []
-    for j in range(1, m):
-        v = np.zeros(m)
-        v[:j] = 1.0
-        v[j] = -j
-        cols.append(v / np.sqrt(j * (j + 1)))
-    return np.stack(cols, axis=1)
-
-
-def _standard_matrices(perms: list[tuple[int, ...]]) -> np.ndarray:
-    m = len(perms[0])
-    basis = _helmert(m)
-    return np.array([basis.T @ _perm_matrix(p) @ basis for p in perms]).astype(complex)
+def _standard_matrices(mats: np.ndarray) -> np.ndarray:
+    """The m x m permutation matrices on the Helmert basis of the sum-zero
+    hyperplane in R^m, whose column j - 1 is (1, ..., 1, -j, 0, ..., 0) /
+    sqrt(j (j + 1)) with j ones."""
+    j, row = np.arange(1, mats.shape[-1]), np.arange(mats.shape[-1])[:, None]
+    basis = ((row < j) - j * (row == j)) / np.sqrt(j * (j + 1))
+    return (basis.T @ mats @ basis).astype(complex)
 
 
 def _symmetric(m: int) -> tuple[GroupTable, IrrepRegistry]:
-    perms = sorted(itertools.permutations(range(m)))
-    index = {p: i for i, p in enumerate(perms)}
+    perms = np.array(sorted(itertools.permutations(range(m))))
     order = len(perms)
-
-    def compose(s, t):
-        return tuple(s[t[x]] for x in range(m))
-
-    mult = np.array(
-        [[index[compose(perms[a], perms[b])] for b in range(order)] for a in range(order)]
-    )
-    inv = np.array([index[tuple(int(x) for x in np.argsort(p))] for p in perms])
+    mats = np.eye(m)[perms].transpose(0, 2, 1)  # e_j -> e_p(j), so s t is s after t
+    mult, inv = _table(mats)
     g = GroupTable(name=f"s{m}", order=order, mult=mult, inv=inv, identity=0)
 
-    signs = np.linalg.det([_perm_matrix(p) for p in perms]).round().astype(complex)
-    triv = Irrep("triv", 1, np.ones((order, 1, 1), dtype=complex))
-    sgn = Irrep("sgn", 1, signs.reshape(order, 1, 1))
-    std = _standard_matrices(perms)
-
+    signs = np.linalg.det(mats).round()
+    irreps = [_one_dim("triv", np.ones(order)), _one_dim("sgn", signs)]
+    std = _standard_matrices(mats)
     if m == 3:
-        irreps = (triv, sgn, Irrep("std2", 2, std))
+        irreps.append(Irrep("std2", 2, std))
     else:  # m == 4
-        # the 2-dim irrep factors through the action on the three
-        # pairings {01|23, 02|13, 03|12}
-        pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-
-        def act(p, pairing):
-            moved = tuple(
-                sorted(tuple(sorted((p[a], p[b]))) for (a, b) in pairing)
-            )
-            return moved
-
-        canon = {tuple(sorted(pairing)): i for i, pairing in enumerate(pairings)}
-        quotient = []
-        for p in perms:
-            quotient.append(tuple(canon[act(p, pairing)] for pairing in pairings))
-        three = sorted(itertools.permutations(range(3)))
-        std3pt = _standard_matrices(three)
-        where = {q: i for i, q in enumerate(three)}
-        quot2 = np.array([std3pt[where[q]] for q in quotient])
-        irreps = (
-            triv,
-            sgn,
-            Irrep("quot2", 2, quot2),
-            Irrep("std3", 3, std),
-            Irrep("std3_sgn", 3, signs[:, None, None] * std),
-        )
-    return g, IrrepRegistry(group=g, irreps=irreps)
+        # the 2-dim irrep factors through the action on the pairings {0, k}|rest,
+        # k = 1, 2, 3, which pair x with x xor k: p moves {0, k}|rest to
+        # {0, p(p^-1(0) xor k)}|rest, so it permutes the k - 1 as an element of S3
+        moved = perms[np.arange(order)[:, None], perms.argmin(axis=1)[:, None] ^ np.arange(1, 4)] - 1
+        three = np.array(sorted(itertools.permutations(range(3))))
+        where = (moved[:, None] == three).all(axis=-1).argmax(axis=-1)
+        quot2 = _symmetric(3)[1].by_label("std2").matrices[where]
+        irreps += [Irrep("quot2", 2, quot2), Irrep("std3", 3, std), Irrep("std3_sgn", 3, signs[:, None, None] * std)]
+    return g, IrrepRegistry(group=g, irreps=tuple(irreps))
 
 
 def _quaternion() -> tuple[GroupTable, IrrepRegistry]:
     # index = 2*axis + (0 for +, 1 for -); axes are the units 1, i, j, k as spin matrices
-    order = 8
-    units = np.array(
-        [np.eye(2), [[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]], dtype=complex
-    )
+    units = np.array([np.eye(2), [[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]], dtype=complex)
     spin = np.array([sign * unit for unit in units for sign in (1, -1)])
-    # every entry is 0, +-1 or +-i, so products and adjoints match a unit exactly
-    mult = (spin[:, None, None] @ spin[None, :, None] == spin).all(axis=(-2, -1)).argmax(axis=-1)
-    inv = (spin.conj().transpose(0, 2, 1)[:, None] == spin).all(axis=(-2, -1)).argmax(axis=-1)
-    g = GroupTable(name="q8", order=order, mult=mult, inv=inv, identity=0)
-
-    def one_dim(values):
-        return np.array(values, dtype=complex).reshape(order, 1, 1)
-
-    irreps = (
-        Irrep("triv", 1, one_dim([1, 1, 1, 1, 1, 1, 1, 1])),
-        Irrep("chi_i", 1, one_dim([1, 1, 1, 1, -1, -1, -1, -1])),
-        Irrep("chi_j", 1, one_dim([1, 1, -1, -1, 1, 1, -1, -1])),
-        Irrep("chi_k", 1, one_dim([1, 1, -1, -1, -1, -1, 1, 1])),
-        Irrep("spin2", 2, spin),
-    )
-    return g, IrrepRegistry(group=g, irreps=irreps)
+    mult, inv = _table(spin)
+    g = GroupTable(name="q8", order=8, mult=mult, inv=inv, identity=0)
+    # the characters of Q8 / {+-1}, a Klein four-group, one sign per axis
+    signs = np.repeat([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], 2, axis=1)
+    irreps = [_one_dim(label, chi) for label, chi in zip(("triv", "chi_i", "chi_j", "chi_k"), signs)]
+    return g, IrrepRegistry(group=g, irreps=(*irreps, Irrep("spin2", 2, spin)))
 
 
 def builtin_group(kind: str, param: int) -> tuple[GroupTable, IrrepRegistry]:

@@ -18,10 +18,9 @@ from .polynomials import HomPoly, check_orthogonal_additivity, orthogonal_pairs
 SELFTEST_GROUPS = ("z4", "z6", "s3", "d4", "q8")
 
 
-def _group_suite(seed_seq) -> dict:
+def _group_suite(groups) -> dict:
     out = {}
-    for name in SELFTEST_GROUPS:
-        group, registry = builtin_group_by_name(name)
+    for name, (group, registry) in groups.items():
         table_report = validate_group(group)
         irrep_report = validate_irreps(group, registry)
         out[name] = {
@@ -33,12 +32,11 @@ def _group_suite(seed_seq) -> dict:
     return out
 
 
-def _fourier_suite(seed_seq) -> dict:
+def _fourier_suite(seed_seq, groups) -> dict:
     out = {}
     ok = True
-    for name, child in zip(SELFTEST_GROUPS, seed_seq.spawn(len(SELFTEST_GROUPS))):
+    for (name, (group, registry)), child in zip(groups.items(), seed_seq.spawn(len(groups))):
         rng = np.random.default_rng(child)
-        group, registry = builtin_group_by_name(name)
         domain = GroupAlgebra(group, registry)
         roundtrip = 0.0
         morphism = 0.0
@@ -70,10 +68,10 @@ def _fourier_suite(seed_seq) -> dict:
     return out
 
 
-def _polynomial_suite(seed_seq) -> dict:
+def _polynomial_suite(seed_seq, groups) -> dict:
     child = seed_seq.spawn(1)[0]
     rng = np.random.default_rng(child)
-    group, registry = builtin_group_by_name("s3")
+    group, registry = groups["s3"]
     domain = GroupAlgebra(group, registry)
     linear = domain.random(rng)
     additive = HomPoly.prototypical(linear, 2, domain)
@@ -99,12 +97,11 @@ def _polynomial_suite(seed_seq) -> dict:
     }
 
 
-def _represent_suite(seed_seq) -> dict:
+def _represent_suite(seed_seq, groups) -> dict:
     out = {}
     ok = True
-    for name, child in zip(SELFTEST_GROUPS, seed_seq.spawn(len(SELFTEST_GROUPS))):
+    for (name, (group, registry)), child in zip(groups.items(), seed_seq.spawn(len(groups))):
         rng = np.random.default_rng(child)
-        group, registry = builtin_group_by_name(name)
         domain = GroupAlgebra(group, registry)
         linear = domain.random(rng, (1,))
         P = HomPoly.prototypical(linear, 2, domain)
@@ -119,7 +116,7 @@ def _represent_suite(seed_seq) -> dict:
 
     child = seed_seq.spawn(1)[0]
     rng = np.random.default_rng(child)
-    group, registry = builtin_group_by_name("d4")
+    group, registry = groups["d4"]
     domain = GroupAlgebra(group, registry)
     linear = domain.random(rng, (1,))
     P = HomPoly.prototypical(linear, 3, domain)
@@ -132,12 +129,11 @@ def _represent_suite(seed_seq) -> dict:
     return out
 
 
-def _certificate_suite(seed_seq) -> dict:
+def _certificate_suite(seed_seq, groups) -> dict:
     out = {}
     ok = True
-    for name, child in zip(SELFTEST_GROUPS, seed_seq.spawn(len(SELFTEST_GROUPS))):
+    for (name, (group, registry)), child in zip(groups.items(), seed_seq.spawn(len(groups))):
         rng = np.random.default_rng(child)
-        group, registry = builtin_group_by_name(name)
         domain = GroupAlgebra(group, registry)
         sn_gap = 0.0
         chain_ok = True
@@ -192,16 +188,17 @@ def _circle_suite() -> dict:
 
 
 def run_selftest(seed: int) -> dict:
-    """Run all module suites from one master seed."""
+    """Run all module suites from one master seed, on one build of each group."""
     root = np.random.SeedSequence(seed)
-    branches = root.spawn(5)
+    branches = root.spawn(5)  # branches[0] is spare: the group suite draws nothing
+    groups = {name: builtin_group_by_name(name) for name in SELFTEST_GROUPS}
     summary = {
         "seed": seed,
-        "groups": _group_suite(branches[0]),
-        "fourier": _fourier_suite(branches[1]),
-        "polynomials": _polynomial_suite(branches[2]),
-        "represent": _represent_suite(branches[3]),
-        "certificates": _certificate_suite(branches[4]),
+        "groups": _group_suite(groups),
+        "fourier": _fourier_suite(branches[1], groups),
+        "polynomials": _polynomial_suite(branches[2], groups),
+        "represent": _represent_suite(branches[3], groups),
+        "certificates": _certificate_suite(branches[4], groups),
         "circle": _circle_suite(),
     }
     summary["pass"] = all(

@@ -66,3 +66,21 @@ def test_compare_job_lists_value_changes_without_failing(tmp_path):
     paths = write(tmp_path, "p.json", {"max_residual": 0.5}), write(tmp_path, "c.json", {"max_residual": 0.25})
     lines, bad = artifact_diff.compare_job("oadd", (1, 1), paths)
     assert not bad and lines[1:] == ["  $.max_residual: 0.5 -> 0.25"]
+
+
+def test_the_builtin_tables_are_compared_after_the_cli_files_jobs(tmp_path, monkeypatch, capsys):
+    jobs = artifact_diff.builtin_table_jobs()
+    assert [job["label"] for job in jobs] == [f"group/info_{name}" for name in ("s3", "s4", "q8", "d4", "d16")]
+    assert all(job["argv"][:2] == ["group", "info"] and "--full" in job["argv"] for job in jobs)
+    # one cli-files job, then the s4 table; both sides are this checkout
+    fejer = {"label": "circle/fejer", "argv": ["circle", "fejer", "--m", "2", "--output", "{out}/fejer.json"],
+             "output": "fejer.json"}
+    monkeypatch.setattr(artifact_diff, "_write_inputs", lambda seed, in_dir: {"jobs": [fejer]})
+    monkeypatch.setattr(artifact_diff, "BUILTIN_TABLES", ("s4",))
+    assert artifact_diff.main([str(ROOT), str(ROOT), "--seed", "7"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "circle/fejer: exit 0 -> 0",
+        "  identical",
+        "group/info_s4: exit 0 -> 0",
+        "  identical",
+    ]

@@ -288,6 +288,22 @@ def test_certificate_json_round_trip():
         assert abs(loaded.claimed_bound - cert.claimed_bound) <= 1e-15
 
 
+def test_a_certificate_built_without_a_claim_claims_its_recomputed_bound():
+    group, registry = builtin_group_by_name("q8")
+    a = random_elem(group, np.random.default_rng(5))
+    sn = sn_bound(a, 3)
+    # the formulas sn_bound and pn_from_sn wrote out before, bit for bit
+    assert sn.upper == sn.certificate.claimed_bound == math.prod(l1_norm(f) for f in sn.certificate.tuples[0])
+    pn = pn_from_sn(sn.certificate)
+    assert pn.claimed_bound == pn.recompute_bound() == sum(l1_norm(part) ** 3 for part in pn.parts)
+    assert PnCertificate(a, (), 3).claimed_bound == 0.0
+    assert PnCertificate(a, (a,), 3).claimed_bound == l1_norm(a) ** 3
+    # a loaded certificate keeps its file's claim, so a wrong claim fails verification
+    doc = certificate_to_json(sn.certificate)
+    loaded = certificate_from_json(dict(doc, claimed_bound=2 * sn.upper), group)
+    assert loaded.claimed_bound == 2 * sn.upper and not verify_certificate(loaded).passed
+
+
 def test_certificate_json_takes_only_the_l1_norm():
     group, registry = builtin_group_by_name("q8")
     a = random_elem(group, np.random.default_rng(3))

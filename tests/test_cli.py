@@ -24,13 +24,14 @@ from oapoly import (
     MatrixAlgebra,
     PointwiseAlgebra,
     builtin_group_by_name,
+    validate_group,
     validate_irreps,
     verify_representation,
 )
 from oapoly.cli import main
 from oapoly.errors import HomogeneityViolation, VerificationFailure
 from oapoly.fourier import element_to_json
-from oapoly.groups import group_to_json
+from oapoly.groups import group_from_json, group_to_json
 from oapoly.jsonio import canonical_dumps, rows_to_csv
 from oapoly.polynomials import poly_to_json, tensor_of
 from oapoly.represent import LinearMap, linear_map_to_json
@@ -83,6 +84,17 @@ def test_group_validate_and_info(capsys):
     info = json.loads(out)
     assert info["order"] == 24
     assert sorted(r["dim"] for r in info["irreps"]) == [1, 1, 2, 3, 3]
+
+
+def test_group_info_full_tables_load_back_and_validate(tmp_path):
+    path = tmp_path / "s4_info.json"
+    assert main(["group", "info", "--group", "s4", "--full", "--output", str(path)]) == 0
+    group, registry = group_from_json(json.loads(path.read_text())["tables"])
+    assert validate_group(group).ok and validate_irreps(group, registry).ok
+    built, built_registry = builtin_group_by_name("s4")
+    assert group.mult.tobytes() == built.mult.tobytes() and group.inv.tobytes() == built.inv.tobytes()
+    for rep, built_rep in zip(registry.irreps, built_registry.irreps, strict=True):
+        assert rep.label == built_rep.label and rep.matrices.tobytes() == built_rep.matrices.tobytes()
 
 
 def test_group_unknown_name_is_usage_error(capsys):
@@ -555,10 +567,20 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["norms", "chain", "--group", "z4", "--input", "/nonexistent.json", "--n", "2"]) == 2
 
 
-def test_selftest_passes(capsys):
+def test_selftest_passes(monkeypatch, capsys):
+    import oapoly.selftest as selftest
+
+    built = []
+
+    def counting(name):
+        built.append(name)
+        return builtin_group_by_name(name)
+
+    monkeypatch.setattr(selftest, "builtin_group_by_name", counting)
     code, out = run(["selftest", "--seed", "11"], capsys)
     assert code == 0
     assert json.loads(out)["pass"] is True
+    assert built == list(selftest.SELFTEST_GROUPS)  # each group is built once per run
 
 
 def test_env_seed_fallback(monkeypatch, capsys):
@@ -744,6 +766,22 @@ def test_represent_extract_on_a_group_file_without_irreps(s3_files, tmp_path, ca
     with_irreps, out = run(["represent", "extract", "--poly", s3_files["good"], "--seed", "7"], capsys)
     expected = json.loads(out)["phi"]["matrix"]
     assert with_irreps == 0 and np.abs(np.array(doc["phi"]["matrix"]) - expected).max() <= 1e-12
+
+
+def test_fourier_transform_on_a_group_file_without_irreps_is_a_usage_error(s3_files, tmp_path, capsys):
+    path = tmp_path / "s3_table.json"
+    path.write_text(json.dumps(group_to_json(builtin_group_by_name("s3")[0])))
+    code = main(["fourier", "transform", "--group-file", str(path), "--input", s3_files["element"]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: the group file carries no irreps\n"
+
+
+def test_represent_extract_on_another_group_is_a_usage_error(s3_files, capsys):
+    code = main(["represent", "extract", "--poly", s3_files["good"], "--group", "d4", "--seed", "7"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: polynomial is over group 's3', got 'd4'\n"
 
 
 def test_oadd_check_rejects_a_cubic_coupling_three_ideals(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import re
 
@@ -95,6 +96,28 @@ def test_validate_group_broken_z2():
     assert any("inverse" in v for v in report.violations)
 
 
+def test_validate_group_reports_an_out_of_range_inverse():
+    group, _ = builtin_group_by_name("z4")
+    inv = group.inv.copy()
+    inv[2] = 4
+    report = validate_group(GroupTable("z4_bad_inv", 4, group.mult, inv, 0))
+    assert not report.ok
+    assert report.violations == ("inv contains out-of-range element indices",)
+
+
+def test_validate_group_lists_at_most_twenty_triples_then_the_count():
+    # swapping the intercalate {3, 7} at rows 1, 5 x columns 2, 6 keeps z8's table
+    # Latin, with its identity and inverses, and breaks only associativity
+    group, _ = builtin_group_by_name("z8")
+    mult = group.mult.copy()
+    mult[np.ix_([1, 5], [2, 6])] = mult[np.ix_([1, 5], [6, 2])]
+    report = validate_group(GroupTable("z8_intercalate", 8, mult, group.inv, 0))
+    assert not report.ok
+    triples = [v for v in report.violations if re.fullmatch(r"associativity: \(\d+\*\d+\)\*\d+ != .*", v)]
+    assert len(triples) == 20 and report.violations[:20] == tuple(triples)
+    assert report.violations[20:] == ("associativity: 24 violating triples (x*s)*y with s a generator",)
+
+
 def test_validate_group_dihedral4_exhaustive():
     group, _ = builtin_group("dihedral", 4)
     report = validate_group(group)
@@ -164,6 +187,8 @@ def test_unsupported_group_requests():
         builtin_group("cyclic", 513)
     with pytest.raises(UnsupportedGroup):
         builtin_group_by_name("e8")
+    with pytest.raises(UnsupportedGroup, match="unknown group kind 'nope'"):
+        builtin_group("nope", 3)
 
 
 def test_dimension_mismatch_raises():
@@ -428,3 +453,133 @@ def test_registry_dims_are_cached_and_unchanged(name):
     assert registry.dims is registry.dims
     assert registry.dims == tuple(rep.dim for rep in registry.irreps)
     assert sum(d * d for d in registry.dims) == registry.group.order
+
+
+# ---------------------------------------------------------------------------
+# reference constructions: the builtins as built before their tables came from
+# matrix products, by composing permutation tuples through an index dict, one
+# permutation matrix and Helmert column at a time, S4's pairing quotient through
+# a canonical-pairing dict, and Q8's characters written out. Every table and
+# matrix must match them bit for bit.
+
+
+def _reference_perm_matrix(p):
+    m = len(p)
+    mat = np.zeros((m, m))
+    for j in range(m):
+        mat[p[j], j] = 1.0
+    return mat
+
+
+def _reference_helmert(m):
+    cols = []
+    for j in range(1, m):
+        v = np.zeros(m)
+        v[:j] = 1.0
+        v[j] = -j
+        cols.append(v / np.sqrt(j * (j + 1)))
+    return np.stack(cols, axis=1)
+
+
+def _reference_standard(perms):
+    basis = _reference_helmert(len(perms[0]))
+    return np.array([basis.T @ _reference_perm_matrix(p) @ basis for p in perms]).astype(complex)
+
+
+def reference_symmetric(m):
+    perms = sorted(itertools.permutations(range(m)))
+    index = {p: i for i, p in enumerate(perms)}
+    order = len(perms)
+    mult = [[index[tuple(s[t[x]] for x in range(m))] for t in perms] for s in perms]
+    inv = [index[tuple(int(x) for x in np.argsort(p))] for p in perms]
+    signs = np.linalg.det([_reference_perm_matrix(p) for p in perms]).round().astype(complex)
+    std = _reference_standard(perms)
+    irreps = [("triv", 1, np.ones((order, 1, 1), dtype=complex)), ("sgn", 1, signs.reshape(order, 1, 1))]
+    if m == 3:
+        return mult, inv, irreps + [("std2", 2, std)]
+    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    canon = {tuple(sorted(pairing)): i for i, pairing in enumerate(pairings)}
+
+    def act(p, pairing):
+        return tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in pairing))
+
+    three = sorted(itertools.permutations(range(3)))
+    std2, where = _reference_standard(three), {q: i for i, q in enumerate(three)}
+    quot2 = np.array([std2[where[tuple(canon[act(p, pairing)] for pairing in pairings)]] for p in perms])
+    return mult, inv, irreps + [("quot2", 2, quot2), ("std3", 3, std), ("std3_sgn", 3, signs[:, None, None] * std)]
+
+
+def reference_quaternion():
+    # element 2*axis + (0 for +, 1 for -) is the quaternion +-1, +-i, +-j or +-k
+    units = np.vstack([np.eye(4), -np.eye(4)]).reshape(2, 4, 4).transpose(1, 0, 2).reshape(8, 4)
+
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    def index(q):
+        return int(np.flatnonzero((units == q).all(axis=1))[0])
+
+    mult = [[index(hamilton(p, q)) for q in units] for p in units]
+    inv = [index(p * [1, -1, -1, -1]) for p in units]
+    spin_units = np.array([np.eye(2), [[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]], dtype=complex)
+    spin = np.array([sign * unit for unit in spin_units for sign in (1, -1)])
+    characters = {
+        "triv": [1, 1, 1, 1, 1, 1, 1, 1],
+        "chi_i": [1, 1, 1, 1, -1, -1, -1, -1],
+        "chi_j": [1, 1, -1, -1, 1, 1, -1, -1],
+        "chi_k": [1, 1, -1, -1, -1, -1, 1, 1],
+    }
+    irreps = [(label, 1, np.array(values, dtype=complex).reshape(8, 1, 1)) for label, values in characters.items()]
+    return mult, inv, irreps + [("spin2", 2, spin)]
+
+
+def reference_dihedral(n):
+    order = 2 * n
+    mult = [[(a + b) % 2 * n + ((-1) ** b * i + j) % n for b in range(2) for j in range(n)]
+            for a in range(2) for i in range(n)]
+    inv = [(-i) % n for i in range(n)] + [n + i for i in range(n)]
+    i = np.arange(n)
+    irreps = [
+        ("triv", 1, np.ones((order, 1, 1), dtype=complex)),
+        ("sgn", 1, np.concatenate([np.ones(n), -np.ones(n)]).reshape(order, 1, 1).astype(complex)),
+    ]
+    if n % 2 == 0:
+        alt = (-1.0) ** i
+        irreps.append(("alt_r", 1, np.concatenate([alt, alt]).reshape(order, 1, 1).astype(complex)))
+        irreps.append(("alt_rs", 1, np.concatenate([alt, -alt]).reshape(order, 1, 1).astype(complex)))
+    for h in range(1, ((n - 1) // 2 if n % 2 == 1 else n // 2 - 1) + 1):
+        w = np.exp(2j * np.pi * ((h * i) % n) / n)
+        mats = np.zeros((order, 2, 2), dtype=complex)
+        mats[:n, 0, 0] = w
+        mats[:n, 1, 1] = w.conj()
+        mats[n:, 0, 1] = w.conj()
+        mats[n:, 1, 0] = w
+        irreps.append((f"rot{h}", 2, mats))
+    return mult, inv, irreps
+
+
+REFERENCE_BUILDS = {
+    "s3": lambda: reference_symmetric(3),
+    "s4": lambda: reference_symmetric(4),
+    "q8": reference_quaternion,
+    **{f"d{n}": (lambda n=n: reference_dihedral(n)) for n in [*range(3, 65), 128, 256]},
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_BUILDS))
+def test_builtins_match_their_reference_constructions_bit_for_bit(name):
+    group, registry = builtin_group_by_name(name)
+    mult, inv, irreps = REFERENCE_BUILDS[name]()
+    assert group.mult.tobytes() == np.array(mult, dtype=np.int64).tobytes()
+    assert group.inv.tobytes() == np.array(inv, dtype=np.int64).tobytes()
+    assert group.identity == 0
+    assert [(rep.label, rep.dim) for rep in registry.irreps] == [(label, dim) for label, dim, _ in irreps]
+    for rep, (label, _, mats) in zip(registry.irreps, irreps):
+        assert rep.matrices.tobytes() == np.ascontiguousarray(mats, dtype=np.complex128).tobytes(), label

@@ -7,11 +7,14 @@ The inputs of perfbench's cli-files workload are written once, by
 its tensor files need come from this repository's ``src``). Each
 distinct job label then runs once per checkout, in manifest order, as
 ``python -m oapoly.cli`` with that checkout's ``src`` on PYTHONPATH and
-its own output directory. For every job this prints both exit codes
-(and, when they differ, the last stderr line of each side), then either
-``identical`` or each JSON path whose values differ, with the parent's
-value and the change's. The exit code is 1 when an exit
-code differs or an artifact exists on one side only, else 0.
+its own output directory. After them, ``group info --group G --full``
+runs the same way for each builtin G in BUILTIN_TABLES, so the builtin
+tables and irrep registries are compared byte for byte too. For every
+job this prints both exit codes (and, when they differ, the last stderr
+line of each side), then either ``identical`` or each JSON path whose
+values differ, with the parent's value and the change's. The exit code
+is 1 when an exit code differs or an artifact exists on one side only,
+else 0.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MISSING = "<missing>"
+BUILTIN_TABLES = ("s3", "s4", "q8", "d4", "d16")
 
 
 def json_diff(parent, change, path: str = "$") -> list[tuple[str, object, object]]:
@@ -90,6 +94,15 @@ def _write_inputs(seed: int, in_dir: Path) -> dict:
     return json.loads(manifest.read_text())
 
 
+def builtin_table_jobs() -> list[dict]:
+    """One ``group info --full`` job per builtin in BUILTIN_TABLES, in the manifest's job format."""
+    return [
+        {"label": f"group/info_{name}", "output": f"info_{name}.json",
+         "argv": ["group", "info", "--group", name, "--full", "--output", f"{{out}}/info_{name}.json"]}
+        for name in BUILTIN_TABLES
+    ]
+
+
 def _run(tree: Path, argv: list[str], in_dir: Path, out_dir: Path) -> tuple[int, str]:
     """The exit code and the last stderr line of one CLI job."""
     argv = [a.replace("{in}", str(in_dir)).replace("{out}", str(out_dir)) for a in argv]
@@ -113,7 +126,7 @@ def main(argv=None) -> int:
         for out in outs:
             out.mkdir()
         jobs = {}
-        for job in _write_inputs(args.seed, in_dir)["jobs"]:
+        for job in _write_inputs(args.seed, in_dir)["jobs"] + builtin_table_jobs():
             jobs.setdefault(job["label"], job)
         broken = False
         for label, job in jobs.items():
