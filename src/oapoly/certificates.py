@@ -27,7 +27,7 @@ import numpy as np
 from .domains import BlockAlgebra, GroupAlgebra
 from .fourier import AlgElement, element_from_json, fourier_flat, l1_norm
 from .groups import GroupTable, IrrepRegistry, block_runs
-from .jsonio import from_pairs, json_field, to_pairs
+from .jsonio import from_pairs, json_field, json_key, to_pairs
 from .polynomials import polarization, sym_product
 
 RECON_TOL = 1e-10
@@ -293,7 +293,8 @@ def certificate_to_json(cert) -> dict:
 
 
 def certificate_from_json(doc: dict, group: GroupTable):
-    target = element_from_json({"group": doc["group"], "values": doc["target"]}, group)
+    values = json_key(doc, "target", "certificate")
+    target = element_from_json({"group": json_key(doc, "group", "certificate"), "values": values}, group)
     degree = json_field(doc, "degree", int, "certificate")
     if not 1 <= degree <= MAX_NORM_DEGREE:  # verification takes degree - 1 products
         raise ValueError(f"certificate degree {degree} outside 1..{MAX_NORM_DEGREE}")
@@ -301,14 +302,15 @@ def certificate_from_json(doc: dict, group: GroupTable):
         raise ValueError(f"certificate norm must be \"l1\", got {doc['norm']!r}")
     bound = float(json_field(doc, "claimed_bound", float, "certificate"))
 
-    if doc["type"] == "pn":
-        parts = from_pairs(doc["parts"], "the certificate parts", 2)
+    kind = json_key(doc, "type", "certificate")
+    if kind == "pn":
+        parts = from_pairs(json_key(doc, "parts", "certificate"), "the certificate parts", 2)
         return PnCertificate(target, tuple(AlgElement(group, part) for part in parts), degree, bound)
-    if doc["type"] == "sn":
-        tuples = from_pairs(doc["tuples"], "the certificate tuples", 3)
+    if kind == "sn":
+        tuples = from_pairs(json_key(doc, "tuples", "certificate"), "the certificate tuples", 3)
         tuples = tuple(tuple(AlgElement(group, factor) for factor in factors) for factors in tuples)
         return SnCertificate(target, tuples, degree, bound)
-    raise ValueError(f"certificate type must be \"pn\" or \"sn\", got {doc['type']!r:.80}")
+    raise ValueError(f"certificate type must be \"pn\" or \"sn\", got {kind!r:.80}")
 
 
 def normbound_to_json(bound: NormBound) -> dict:

@@ -31,7 +31,7 @@ from .groups import (
     validate_group,
     validate_irreps,
 )
-from .jsonio import canonical_dumps, finite_or_null, json_field, int_array, require_object, rows_to_csv
+from .jsonio import canonical_dumps, finite_or_null, int_array, json_field, json_key, require_object, rows_to_csv
 from .polynomials import check_orthogonal_additivity, orthogonal_pairs, poly_from_json
 from .represent import linear_map_from_json, linear_map_to_json
 from .selftest import run_selftest
@@ -51,6 +51,9 @@ MAX_LIST_ENTRIES = 8
 # `oadd check --pairs` is capped by memory instead: it holds about 8 stacks of pairs x dim
 # values, so at the cap a dimension-512 domain peaks at 0.75 GB (512 pointwise slots; z512 0.6)
 MAX_PAIRS = 10_000
+# `represent extract/verify --samples` likewise: the probe gate stacks every probe at once, and
+# at the cap 512 pointwise slots peak under 0.5 GiB of address space (z512 in 4 s)
+MAX_SAMPLES = 10_000
 
 
 def _in_range(kind, low, high=math.inf):
@@ -133,7 +136,7 @@ def _load_poly(args):
     if kind == "matrix":
         domain = MatrixAlgebra(json_field(doc_domain, "k", int, "domain"))
     elif kind == "trig":
-        domain = PointwiseAlgebra(tuple(int_array(doc_domain["support"], "the support", 1)))
+        domain = PointwiseAlgebra(tuple(int_array(json_key(doc_domain, "support", "domain"), "the support", 1)))
     elif kind == "group":
         name = json_field(doc_domain, "name", str, "domain")
         if args.group is None and args.group_file is None:
@@ -341,14 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument(
         "--pairs", type=_in_range(int, 1), default=120, help="ignored; the pair check is `oadd check`"
     )
-    extract.add_argument("--samples", type=_in_range(int, 1), default=200)
+    samples = _in_range(int, 1, MAX_SAMPLES)
+    extract.add_argument("--samples", type=samples, default=200, help=f"probe count, 1..{MAX_SAMPLES}")
     extract.add_argument("--tol", type=_in_range(float, 0), default=1e-9)
     _add_common(extract, _cmd_represent_extract)
     verify = rep_sub.add_parser("verify")
     verify.add_argument("--poly", required=True)
     verify.add_argument("--phi", required=True, help="LinearMap JSON file")
     _add_group(verify)
-    verify.add_argument("--samples", type=_in_range(int, 1), default=200)
+    verify.add_argument("--samples", type=samples, default=200, help=f"probe count, 1..{MAX_SAMPLES}")
     verify.add_argument("--tol", type=_in_range(float, 0), default=1e-9)
     _add_common(verify, _cmd_represent_verify)
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import BadExponent, GroupMismatch, IncompleteRegistry
 from .groups import GroupTable, Irrep, IrrepRegistry, block_product, block_runs
-from .jsonio import from_pairs, require_object, to_pairs
+from .jsonio import from_pairs, json_key, require_object, to_pairs
 
 # Largest temporaries of one chunk of a batched convolution, in bytes.
 _CHUNK_BYTES = 1 << 20
@@ -249,7 +249,7 @@ def element_from_json(doc: dict, group: GroupTable) -> AlgElement:
         raise GroupMismatch(
             f"element file names group {doc.get('group')!r}, expected {group.name!r}"
         )
-    return AlgElement(group, from_pairs(doc["values"], "the element values", 1))
+    return AlgElement(group, from_pairs(json_key(doc, "values", "element"), "the element values", 1))
 
 
 def fourier_to_json(side: FourierSide) -> dict:

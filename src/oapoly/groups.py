@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, GroupMismatch, IncompleteRegistry, UnsupportedGroup
-from .jsonio import from_pairs, int_array, json_field, to_pairs
+from .jsonio import from_pairs, int_array, json_field, json_key, to_pairs
 
 MAX_ORDER = 512
 
@@ -496,8 +496,8 @@ def group_from_json(doc: dict) -> tuple[GroupTable, IrrepRegistry | None]:
     g = GroupTable(
         name=json_field(doc, "name", str, "group"),
         order=json_field(doc, "order", int, "group"),
-        mult=int_array(doc["mult"], "the mult table", 2),
-        inv=int_array(doc["inv"], "the inv table", 1),
+        mult=int_array(json_key(doc, "mult", "group"), "the mult table", 2),
+        inv=int_array(json_key(doc, "inv", "group"), "the inv table", 1),
         identity=json_field(doc, "identity", int, "group"),
     )
     registry = None

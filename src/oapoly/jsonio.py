@@ -52,11 +52,19 @@ def require_object(value, what: str) -> dict:
     return value
 
 
+def json_key(doc, key: str, what: str):
+    """doc[key] of the JSON object doc; a missing key is a ValueError that
+    names the object and the field."""
+    if key not in require_object(doc, what):
+        raise ValueError(f"{what} field {key!r} is missing")
+    return doc[key]
+
+
 def json_field(doc, key: str, kind: type, what: str):
-    """doc[key] of the JSON object doc, which must be a `kind`: a bool is
-    no int, and `float` means any JSON number. The ValueError otherwise
-    names the field and the value."""
-    value = require_object(doc, what)[key]
+    """json_key(doc, key, what), which must be a `kind`: a bool is no int,
+    and `float` means any JSON number. The ValueError otherwise names the
+    field and the value."""
+    value = json_key(doc, key, what)
     kinds, name = ((int, float), "number") if kind is float else (kind, kind.__name__)
     if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{what} field {key!r} must be a JSON {name}, got {value!r:.80}")

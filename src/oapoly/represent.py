@@ -30,7 +30,7 @@ from .domains import AlgebraDomain, GroupAlgebra
 from .errors import DimensionMismatch, GroupMismatch, VerificationFailure
 from .fourier import central_idempotent
 from .groups import GroupTable
-from .jsonio import from_pairs, json_field, to_pairs
+from .jsonio import from_pairs, json_field, json_key, to_pairs
 from .polynomials import HomPoly, _unit_slot, check_homogeneity
 
 # span_check counts singular values above this fraction of the largest
@@ -74,7 +74,8 @@ def linear_map_from_json(doc: dict, domain: AlgebraDomain) -> LinearMap:
             f"linear map domain {doc['domain']} != expected domain {domain.descriptor()}"
         )
     codomain_dim = json_field(doc, "codomain_dim", int, "linear map")
-    return LinearMap(domain, codomain_dim, from_pairs(doc["matrix"], "the linear map matrix", 2))
+    matrix = from_pairs(json_key(doc, "matrix", "linear map"), "the linear map matrix", 2)
+    return LinearMap(domain, codomain_dim, matrix)
 
 
 def _probe_verify(P: HomPoly, L: LinearMap, samples, seed, tol) -> LinearMap:

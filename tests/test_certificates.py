@@ -347,6 +347,18 @@ def test_certificate_json_reads_typed_fields(field, value, named):
     assert named in str(info.value)
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("pn", "group"), ("pn", "target"), ("pn", "type"), ("pn", "parts"), ("pn", "degree"), ("sn", "tuples")])
+def test_certificate_json_names_a_missing_field(kind, field):
+    group, registry = builtin_group_by_name("q8")
+    a = random_elem(group, np.random.default_rng(3))
+    cert = pn_bound(a, 3, registry).certificate if kind == "pn" else sn_bound(a, 3).certificate
+    doc = certificate_to_json(cert)
+    del doc[field]
+    with pytest.raises(ValueError, match=f"^certificate field '{field}' is missing$"):
+        certificate_from_json(doc, group)
+
+
 def test_certificate_json_takes_any_json_number_as_the_bound():
     group, registry = builtin_group_by_name("q8")
     doc = certificate_to_json(sn_bound(random_elem(group, np.random.default_rng(3)), 3).certificate)

@@ -524,6 +524,18 @@ def z512_element(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def trig512_files(tmp_path_factory):
+    """P = sum of squares on 512 pointwise slots, the costliest probe stack per
+    sample, and its representing map L = sum."""
+    base = tmp_path_factory.mktemp("trig512")
+    domain = PointwiseAlgebra(tuple(range(512)))
+    poly = HomPoly.from_tensor(2, domain, 1, {(k, k): 1.0 for k in range(512)})
+    (base / "poly.json").write_text(json.dumps(poly_to_json(poly)))
+    (base / "phi.json").write_text(json.dumps(linear_map_to_json(LinearMap(domain, 1, np.ones((1, 512))))))
+    return {"poly512": str(base / "poly.json"), "phi512": str(base / "phi.json")}
+
+
 # each work cap, with the flag last: at its cap the command takes about 1 s
 WORK_CAPS = [
     (["circle", "fejer", "--m"], 1 << 18),
@@ -531,12 +543,15 @@ WORK_CAPS = [
     (["circle", "diagnose", "--example", "4.2", "--N"], 1 << 16),
     (["circle", "diagnose", "--example", "4.3", "--N"], 1 << 16),
     (["norms", "certify", "--group", "z512", "--input", "{z512}", "--n", "3", "--refine"], 1000),
+    (["represent", "extract", "--poly", "{poly512}", "--seed", "1", "--samples"], cli.MAX_SAMPLES),
+    (["represent", "verify", "--poly", "{poly512}", "--phi", "{phi512}", "--seed", "1", "--samples"], cli.MAX_SAMPLES),
 ]
 
 
-@pytest.mark.parametrize("argv, cap", WORK_CAPS, ids=["fejer-m", "4.1-m", "4.2-N", "4.3-N", "certify-refine"])
-def test_work_flags_are_capped(argv, cap, z512_element):
-    argv = [arg.format(z512=z512_element) for arg in argv]
+@pytest.mark.parametrize("argv, cap", WORK_CAPS, ids=[
+    "fejer-m", "4.1-m", "4.2-N", "4.3-N", "certify-refine", "extract-samples", "verify-samples"])
+def test_work_flags_are_capped(argv, cap, z512_element, trig512_files):
+    argv = [arg.format(z512=z512_element, **trig512_files) for arg in argv]
     # at 10^9 these ran out of memory or did not end; the parser refuses them at once
     done = run_within_one_gib(argv + [str(10**9)], timeout=30)
     assert done.returncode == 2 and f"argument {argv[-1]}" in done.stderr
@@ -581,6 +596,23 @@ def test_selftest_passes(monkeypatch, capsys):
     assert code == 0
     assert json.loads(out)["pass"] is True
     assert built == list(selftest.SELFTEST_GROUPS)  # each group is built once per run
+
+
+def test_selftest_computes_each_power_certificate_once(monkeypatch):
+    import oapoly.selftest as selftest
+
+    calls = []
+    pn_bound = certificates.pn_bound
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return pn_bound(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "pn_bound", counting)
+    assert selftest.run_selftest(42)["pass"] is True
+    # per group: one inside each of the 8 chain checks, and pn(delta) at n = 3;
+    # a second call after each chain check made it 85
+    assert len(calls) == 5 * (8 + 1) and calls.count(3) == 5 * 5
 
 
 def test_env_seed_fallback(monkeypatch, capsys):

@@ -1,9 +1,10 @@
 """Fuzz over the JSON loaders, through the CLI in-process.
 
 One node of a valid s3 group, element, polynomial or linear-map file is
-replaced by a value of the wrong type. Whatever the node, the command
-that loads the file must keep the exit-code contract: it returns 0, 1
-or 2 (or argparse exits with 2) and raises nothing else.
+replaced by a value of the wrong type, or deleted from its object or
+list. Whatever the node, the command that loads the file must keep the
+exit-code contract: it returns 0, 1 or 2 (or argparse exits with 2) and
+raises nothing else.
 """
 
 import copy
@@ -21,7 +22,8 @@ from oapoly.groups import group_to_json
 from oapoly.polynomials import poly_to_json, tensor_of
 from oapoly.represent import linear_map_to_json
 
-WRONG_VALUES = [5, None, [], {}, "x", [5]]
+DELETE = "<delete>"  # the node is removed, not replaced; deleting the root leaves {}
+WRONG_VALUES = [5, None, [], {}, "x", [5], DELETE]
 
 
 def _valid_documents() -> dict:
@@ -76,12 +78,15 @@ def _nodes_by_depth(doc) -> dict:
 
 def _replaced(doc, path, value):
     if not path:
-        return value
+        return {} if value is DELETE else value
     doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
     return doc
 
 
@@ -144,3 +149,39 @@ def test_a_wrongly_typed_field_is_named_in_the_usage_error(kind, path, value, na
     assert main(_argv(COMMANDS[kind][-1], fuzzed, files)) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "kind, path, named",
+    [
+        ("group", ("mult",), "group field 'mult' is missing"),
+        ("group", ("inv",), "group field 'inv' is missing"),
+        ("group", ("name",), "group field 'name' is missing"),
+        ("group", ("irreps", 1, "matrices"), "irrep field 'matrices' is missing"),
+        ("element", ("values",), "element field 'values' is missing"),
+        ("poly", ("tensor",), "polynomial field 'tensor' is missing"),
+        ("poly", ("domain",), "polynomial field 'domain' is missing"),
+        ("phi", ("matrix",), "linear map field 'matrix' is missing"),
+        ("phi", ("domain",), "linear map field 'domain' is missing"),
+    ],
+)
+def test_a_missing_field_is_named_in_the_usage_error(kind, path, named, files, capsys):
+    fuzzed = files / f"missing-{kind}.json"
+    fuzzed.write_text(json.dumps(_replaced(DOCUMENTS[kind], path, DELETE)))
+    for command in COMMANDS[kind]:
+        assert main(_argv(command, fuzzed, files)) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {named}\n", (command, err)
+
+
+def test_a_missing_domain_support_and_a_failure_artifact_as_phi_are_named(files, tmp_path, capsys):
+    trig = {"degree": 2, "domain": {"type": "trig"}, "codomain_dim": 1, "tensor": {}}
+    (tmp_path / "trig.json").write_text(json.dumps(trig))
+    assert main(["oadd", "check", "--poly", str(tmp_path / "trig.json")]) == 2
+    assert capsys.readouterr().err == "input error: domain field 'support' is missing\n"
+    # `represent extract` writes {"pass": false, "error": ...} when it fails; it holds no map
+    failure = tmp_path / "failure.json"
+    failure.write_text(json.dumps({"pass": False, "error": "extracted candidate fails", "max_residual": 0.5}))
+    argv = ["represent", "verify", "--poly", str(files / "poly.json"), "--phi", str(failure)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "input error: linear map field 'domain' is missing\n"
